@@ -205,7 +205,7 @@ def _verify_candidate(f, k, y, z, discount, budget, tie_tolerance):
         )
         return None
     for allocation in band:
-        if is_ef1(profile, allocation).holds:
+        if allocation != result.allocation and is_ef1(profile, allocation).holds:
             logger.warning(
                 "candidate k=%d y=%s z=%s discount=%s: a tied maximizer "
                 "%s passes the one-good-removal check; skipping",

@@ -7,16 +7,15 @@ in the envied bundle, the value that remains after removing it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import ge
 
-from .errors import EnumerationBudgetError
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,
     Profile,
-    allocation_count,
+    _assignments,
+    _scaled_rows,
     allocation_utilities,
-    check_allocation,
 )
 
 
@@ -68,9 +67,8 @@ class ParetoVerdict:
 
 def is_ef(profile: Profile, allocation: Allocation) -> EfVerdict:
     """Envy-freeness: every agent weakly prefers their own bundle to every other."""
-    check_allocation(profile, allocation)
-    bundles = allocation.bundles(profile.n)
     own = allocation_utilities(profile, allocation)
+    bundles = allocation.bundles(profile.n)
     violations = []
     for i in range(profile.n):
         row = profile.utilities[i]
@@ -92,9 +90,8 @@ def is_ef1(profile: Profile, allocation: Allocation) -> Ef1Verdict:
     which keeps the removal step well-defined (with nonnegative utilities an
     empty bundle cannot be envied anyway).
     """
-    check_allocation(profile, allocation)
-    bundles = allocation.bundles(profile.n)
     own = allocation_utilities(profile, allocation)
+    bundles = allocation.bundles(profile.n)
     violations = []
     for i in range(profile.n):
         row = profile.utilities[i]
@@ -120,22 +117,11 @@ def is_pareto_optimal(
 
     Scans every allocation; returns the first dominator in lexicographic
     assignment order, so the result does not depend on how the scan might be
-    partitioned.
+    partitioned.  The budget is checked before anything else.
     """
-    check_allocation(profile, allocation)
-    current = allocation_utilities(profile, allocation)
-    total = allocation_count(profile)
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    n, m = profile.n, profile.m
-    rows = profile.utilities
-    zero = Fraction(0)
-    for assignment in product(range(n), repeat=m):
-        totals = [zero] * n
-        for good, agent in enumerate(assignment):
-            totals[agent] += rows[agent][good]
-        if all(u >= c for u, c in zip(totals, current)) and any(
-            u > c for u, c in zip(totals, current)
-        ):
-            return ParetoVerdict(False, Allocation(assignment))
+    rows, scale = _scaled_rows(profile, budget)
+    current = [int(u * scale) for u in allocation_utilities(profile, allocation)]
+    for assignment, totals in _assignments(rows):
+        if all(map(ge, totals, current)) and totals != current:
+            return ParetoVerdict(False, Allocation(tuple(assignment)))
     return ParetoVerdict(True, None)

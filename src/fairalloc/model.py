@@ -3,9 +3,14 @@
 Utilities are exact rationals (`fractions.Fraction`).  Fairness checks and
 the Nash-product solver never touch floats, so strict inequalities cannot be
 flipped by rounding; floats enter only when a welfare function is applied.
+
+Every exhaustive scan in the package runs on one private kernel here: the
+profile is scaled once to integers by one common factor, and the assignments
+are walked in lexicographic order with incrementally updated bundle totals.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -160,6 +165,63 @@ def _assignment_at(n: int, m: int, index: int) -> tuple[int, ...]:
     for pos in range(m - 1, -1, -1):
         index, digits[pos] = divmod(index, n)
     return tuple(digits)
+
+
+def _scaled_rows(profile: Profile, budget: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The utility rows times ``L``, the lcm of every denominator, as ints; and ``L``.
+
+    One factor for all rows keeps sums, comparisons and products of positive
+    totals in the same order as the rationals, across agents too.  Raises
+    :class:`EnumerationBudgetError` first if the scan would exceed ``budget``.
+    """
+    total = allocation_count(profile)
+    if total > budget:
+        raise EnumerationBudgetError(total, budget)
+    scale = 1
+    for row in profile.utilities:
+        for value in row:
+            scale = math.lcm(scale, value.denominator)
+    rows = tuple(
+        tuple(value.numerator * (scale // value.denominator) for value in row)
+        for row in profile.utilities
+    )
+    return rows, scale
+
+
+def _assignments(rows, prune=None):
+    """Walk every assignment of ``len(rows[0])`` goods to ``len(rows)`` agents.
+
+    Yields ``(assignment, totals)`` in lexicographic assignment order (good 0
+    most significant, agents increasing), where ``totals[i]`` is the sum of
+    ``rows[i]`` over agent ``i``'s goods.  Both are lists updated in place
+    (only the goods whose agent changed are touched), so a consumer copies
+    what it keeps.
+
+    ``prune(depth, totals)``, if given, is asked after each of goods
+    ``0..depth-1`` has been placed; a true answer skips every completion of
+    that prefix.
+    """
+    n, m = len(rows), len(rows[0])
+    assignment = [-1] * m  # -1: not placed yet
+    totals = [0] * n
+    good = 0
+    while good >= 0:
+        if good == m:
+            yield assignment, totals
+            good -= 1
+            continue
+        agent = assignment[good]
+        if agent >= 0:
+            totals[agent] -= rows[agent][good]
+        agent += 1
+        if agent == n:
+            assignment[good] = -1
+            good -= 1
+        else:
+            assignment[good] = agent
+            totals[agent] += rows[agent][good]
+            if prune is None or not prune(good + 1, totals):
+                good += 1
 
 
 def enumerate_allocations(

@@ -6,15 +6,19 @@ log-affine family (maximum Nash welfare) gets a dedicated solver that
 compares exact rational products instead of float log sums, so its argmax is
 immune to rounding.  Every solver breaks ties by the lexicographically
 smallest assignment vector.
+
+All solvers walk the shared integer kernel of :mod:`fairalloc.model` and
+differ only in their leaf key; the welfare scans memoize ``f(t / L)`` per
+integer total ``t``, and branch-and-bound adds a pruning hook to the walk.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from itertools import product
+from functools import partial, total_ordering
+from itertools import accumulate
 
-from .errors import EnumerationBudgetError, InvalidWelfareFunctionError
+from .errors import InvalidWelfareFunctionError
 from .funcparse import (
     Expression,
     check_increasing,
@@ -25,9 +29,9 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,
     Profile,
-    allocation_count,
+    _assignments,
+    _scaled_rows,
     allocation_utilities,
-    check_allocation,
 )
 
 NEG_INF = float("-inf")
@@ -38,6 +42,9 @@ TIE_TOLERANCE = 1e-9
 
 #: Grid on which custom expressions are validated to be strictly increasing.
 INCREASING_VALIDATION_GRID = tuple(i / 10 for i in range(1, 101))
+
+#: Most distinct bundle totals whose welfare terms one scan keeps.
+_TERMS_CAP = 1 << 12
 
 
 def _format_param(value: float) -> str:
@@ -308,16 +315,8 @@ def allocation_welfare(
     profile: Profile, allocation: Allocation, f: WelfareFunction
 ) -> ExtendedWelfare:
     """Sum of ``f`` over the agents' bundle utilities, -inf terms counted apart."""
-    check_allocation(profile, allocation)
-    neg_inf = 0
-    finite = 0.0
-    for utility in allocation_utilities(profile, allocation):
-        term = f.value(utility)
-        if term == NEG_INF:
-            neg_inf += 1
-        else:
-            finite += term
-    return ExtendedWelfare(neg_inf, finite)
+    neg_inf, finite = _welfare_key(f.value, allocation_utilities(profile, allocation))
+    return ExtendedWelfare(-neg_inf, finite)
 
 
 @dataclass(frozen=True)
@@ -328,6 +327,10 @@ class SolveResult:
     float-valued welfare, "attaining" means within :data:`TIE_TOLERANCE` of
     the maximum finite part (with the same number of -inf terms), while the
     maximum itself is found by strict comparison.
+
+    Every solver finds it in one walk of the shared integer kernel in
+    :mod:`fairalloc.model`; ``welfare`` is built once, for the winner, as the
+    same float sum, in agent order, as :func:`allocation_welfare`.
     """
 
     allocation: Allocation
@@ -335,77 +338,148 @@ class SolveResult:
     maximizer_set_size: int
 
 
-class _TieTracker:
-    """Running maximum plus a census of welfare values still within the tie band.
+def _welfare_key(term, totals):
+    """``(-(number of -inf terms), sum of the finite terms)`` of ``term(t)``
+    over ``totals``, summed in agent order: the leaf key of the welfare scans
+    and the value of :func:`allocation_welfare`."""
+    neg_inf = 0
+    finite = 0.0
+    for total in totals:
+        value = term(total)
+        if value == NEG_INF:
+            neg_inf -= 1
+        else:
+            finite += value
+    return neg_inf, finite
 
-    Values below the running maximum's band can never re-enter it (the
-    maximum only grows), so dropping them on each improvement is safe.
+
+class _Terms(dict):
+    """``f(t / scale)`` for integer bundle totals ``t``, memoized up to
+    :data:`_TERMS_CAP` distinct totals.
+
+    Small integer utilities repeat their totals, so ``f`` runs once per
+    total; with generic utilities nearly every subset sum is distinct, and
+    the cap keeps the memo's memory fixed.
+    """
+
+    def __init__(self, f, scale):
+        super().__init__()
+        self.f = f
+        self.scale = scale
+
+    def __missing__(self, total):
+        term = self.f.value(Fraction(total, self.scale))
+        if len(self) < _TERMS_CAP:
+            self[total] = term
+        return term
+
+
+class _TieTracker:
+    """Running maximum of ``(primary, secondary)`` keys, plus a census of the
+    keys in its tie band: the same primary part, secondary at most
+    ``tolerance`` below.  Keys that fall out of the band never re-enter it
+    (the maximum only grows), so dropping them on each improvement is safe.
     """
 
     def __init__(self, tolerance, keep_members=False):
         self.tolerance = tolerance
         self.best = None
-        self.best_assignment = None
-        self.near = {}  # (neg_inf_count, finite_part) -> count
-        self.members = [] if keep_members else None  # (welfare, assignment)
+        self.floor = None  # lowest secondary part in the band
+        self.assignment = None
+        self.near = {}  # key -> count
+        self.members = [] if keep_members else None  # (key, assignment)
 
-    def _in_band(self, welfare):
-        return (
-            welfare.neg_inf_count == self.best.neg_inf_count
-            and welfare.finite_part >= self.best.finite_part - self.tolerance
-        )
+    def _in_band(self, key):
+        return key[0] == self.best[0] and key[1] >= self.floor
 
-    def offer(self, assignment, welfare):
-        if self.best is None or welfare > self.best:
-            self.best = welfare
-            self.best_assignment = assignment
-            self.near = {
-                key: count for key, count in self.near.items()
-                if key[0] == welfare.neg_inf_count
-                and key[1] >= welfare.finite_part - self.tolerance
-            }
+    def offer(self, assignment, key):
+        best = self.best
+        if best is None or key > best:
+            self.best = best = key
+            self.floor = key[1] - self.tolerance
+            self.assignment = tuple(assignment)
+            self.near = {k: count for k, count in self.near.items() if self._in_band(k)}
             if self.members is not None:
                 self.members = [m for m in self.members if self._in_band(m[0])]
-        if self._in_band(welfare):
-            key = (welfare.neg_inf_count, welfare.finite_part)
+        if key[0] == best[0] and key[1] >= self.floor:  # _in_band, inlined: runs per allocation
             self.near[key] = self.near.get(key, 0) + 1
             if self.members is not None:
-                self.members.append((welfare, assignment))
+                self.members.append((key, tuple(assignment)))
 
-    def result(self):
-        return SolveResult(
-            Allocation(self.best_assignment), self.best, sum(self.near.values())
-        )
+    def scan(self, rows, key, prune=None):
+        """Offer every allocation of the kernel's walk under ``key(totals)``."""
+        offer = self.offer
+        for assignment, totals in _assignments(rows, prune):
+            offer(assignment, key(totals))
+        return Allocation(self.assignment), sum(self.near.values())
 
-    def band_allocations(self):
-        return tuple(Allocation(assignment) for _, assignment in self.members)
+
+def _nash_key(totals):
+    """Leaf key of the Nash solver: agents with positive utility, then the
+    product of their totals.  One common scale ``L`` multiplies every product
+    with ``k`` factors by ``L**k``, so equal counts compare exactly."""
+    positive = 0
+    product = 1
+    for total in totals:
+        if total:
+            positive += 1
+            product *= total
+    return positive, product
 
 
-def _iter_assignment_welfares(profile, f, budget):
-    """Yield ``(assignment, welfare)`` over the full lexicographic scan.
+def _concavity_prune(rows, terms, tracker):
+    """Branch-and-bound's prefix test for concave ``f``: true when no
+    completion of the prefix can reach the running maximum's tie band."""
+    n, m = len(rows), len(rows[0])
+    # rest[i][t] = agent i's value for goods t..m-1
+    rest = [list(accumulate(reversed(row), initial=0))[::-1] for row in rows]
 
-    Accumulation order (goods ascending, then agents ascending) matches
-    :func:`allocation_welfare` bit for bit.
-    """
-    total = allocation_count(profile)
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    n, m = profile.n, profile.m
-    utilities = profile.utilities
-    zero = Fraction(0)
-    for assignment in product(range(n), repeat=m):
-        totals = [zero] * n
-        for good, agent in enumerate(assignment):
-            totals[agent] += utilities[agent][good]
-        neg_inf = 0
-        finite = 0.0
-        for value in totals:
-            term = f.value(value)
+    def prune(t, totals):
+        best = tracker.best
+        if best is None:
+            return False
+        # Upper-bounds any completion of goods t..m-1: an agent whose term is
+        # still -inf is credited with everything remaining; agents already
+        # finite get their current term plus, per good, the best single-good
+        # gain any of them could realize (valid since f is concave).
+        neg_lower = 0
+        finite_upper = 0.0
+        finite = []  # (agent, term) of the agents already finite
+        for i in range(n):
+            term = terms[totals[i]]
             if term == NEG_INF:
-                neg_inf += 1
+                top = terms[totals[i] + rest[i][t]]
+                if top == NEG_INF:
+                    neg_lower += 1
+                else:
+                    finite_upper += top
             else:
-                finite += term
-        yield assignment, ExtendedWelfare(neg_inf, finite)
+                finite.append((i, term))
+                finite_upper += term
+        for good in range(t, m):
+            gain = 0.0
+            for i, term in finite:
+                candidate = terms[totals[i] + rows[i][good]] - term
+                if candidate > gain:
+                    gain = candidate
+            finite_upper += gain
+        if neg_lower > -best[0]:
+            return True
+        return neg_lower == -best[0] and finite_upper < tracker.floor
+
+    return prune
+
+
+def _scan_welfare(profile, f, budget, tolerance, keep_members=False, bounded=False):
+    """The welfare scan behind :func:`maximize_welfare` (both methods) and
+    :func:`welfare_maximizers`; ``bounded`` prunes with the concavity bound."""
+    rows, scale = _scaled_rows(profile, budget)
+    terms = _Terms(f, scale)
+    tracker = _TieTracker(tolerance, keep_members)
+    prune = _concavity_prune(rows, terms, tracker) if bounded else None
+    allocation, ties = tracker.scan(rows, partial(_welfare_key, terms.__getitem__), prune)
+    neg_inf, finite = tracker.best
+    return SolveResult(allocation, ExtendedWelfare(-neg_inf, finite), ties), tracker.members
 
 
 def maximize_welfare(
@@ -420,20 +494,13 @@ def maximize_welfare(
 
     ``method`` is ``"exhaustive"`` (plain scan) or ``"branch-and-bound"``;
     both return identical results, the latter merely prunes assignments that
-    provably cannot reach the running maximum's tie band.
+    provably cannot reach the running maximum's tie band.  The bound holds
+    only for concave ``f``; for any other ``f`` branch-and-bound scans.
     """
-    if method == "exhaustive":
-        return _maximize_scan(profile, f, budget, tie_tolerance)
-    if method == "branch-and-bound":
-        return _maximize_branch_and_bound(profile, f, budget, tie_tolerance)
-    raise ValueError(f"unknown solve method {method!r}")
-
-
-def _maximize_scan(profile, f, budget, tolerance):
-    tracker = _TieTracker(tolerance)
-    for assignment, welfare in _iter_assignment_welfares(profile, f, budget):
-        tracker.offer(assignment, welfare)
-    return tracker.result()
+    if method not in ("exhaustive", "branch-and-bound"):
+        raise ValueError(f"unknown solve method {method!r}")
+    bounded = method == "branch-and-bound" and f.is_concave()
+    return _scan_welfare(profile, f, budget, tie_tolerance, bounded=bounded)[0]
 
 
 def welfare_maximizers(
@@ -448,105 +515,8 @@ def welfare_maximizers(
     The second element lists every allocation within the tie band, in
     lexicographic order; its length equals ``maximizer_set_size``.
     """
-    tracker = _TieTracker(tie_tolerance, keep_members=True)
-    for assignment, welfare in _iter_assignment_welfares(profile, f, budget):
-        tracker.offer(assignment, welfare)
-    return tracker.result(), tracker.band_allocations()
-
-
-def _maximize_branch_and_bound(profile, f, budget, tolerance):
-    total = allocation_count(profile)
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    if not f.is_concave():
-        # the per-good gain bound below is only an upper bound for concave f
-        return _maximize_scan(profile, f, budget, tolerance)
-
-    n, m = profile.n, profile.m
-    utilities = profile.utilities
-    # rest[i][t] = agent i's value for goods t..m-1
-    rest = [[Fraction(0)] * (m + 1) for _ in range(n)]
-    for i in range(n):
-        for t in range(m - 1, -1, -1):
-            rest[i][t] = rest[i][t + 1] + utilities[i][t]
-
-    tracker = _TieTracker(tolerance)
-    bundle = [Fraction(0)] * n
-    assignment = [0] * m
-
-    def optimistic_bound(t):
-        # Upper-bounds any completion of goods t..m-1: an agent whose term is
-        # still -inf is credited with everything remaining; agents already
-        # finite get their current term plus, per good, the best single-good
-        # gain any of them could realize (valid since f is concave).
-        neg_lower = 0
-        finite_upper = 0.0
-        finite_agents = []
-        finite_terms = []
-        for i in range(n):
-            term = f.value(bundle[i])
-            if term == NEG_INF:
-                top = f.value(bundle[i] + rest[i][t])
-                if top == NEG_INF:
-                    neg_lower += 1
-                else:
-                    finite_upper += top
-            else:
-                finite_agents.append(i)
-                finite_terms.append(term)
-                finite_upper += term
-        for good in range(t, m):
-            gain = 0.0
-            for idx, i in enumerate(finite_agents):
-                candidate = f.value(bundle[i] + utilities[i][good]) - finite_terms[idx]
-                if candidate > gain:
-                    gain = candidate
-            finite_upper += gain
-        return neg_lower, finite_upper
-
-    def prunable(t):
-        best = tracker.best
-        if best is None:
-            return False
-        neg_lower, finite_upper = optimistic_bound(t)
-        if neg_lower > best.neg_inf_count:
-            return True
-        return (
-            neg_lower == best.neg_inf_count
-            and finite_upper < best.finite_part - tolerance
-        )
-
-    zero = Fraction(0)
-
-    def visit_leaf():
-        # recompute from scratch in the same order as the plain scan so the
-        # float welfare is bit-identical
-        totals = [zero] * n
-        for good, agent in enumerate(assignment):
-            totals[agent] += utilities[agent][good]
-        neg_inf = 0
-        finite = 0.0
-        for value in totals:
-            term = f.value(value)
-            if term == NEG_INF:
-                neg_inf += 1
-            else:
-                finite += term
-        tracker.offer(tuple(assignment), ExtendedWelfare(neg_inf, finite))
-
-    def descend(t):
-        if t == m:
-            visit_leaf()
-            return
-        for agent in range(n):
-            assignment[t] = agent
-            bundle[agent] += utilities[agent][t]
-            if not prunable(t + 1):
-                descend(t + 1)
-            bundle[agent] -= utilities[agent][t]
-
-    descend(0)
-    return tracker.result()
+    result, members = _scan_welfare(profile, f, budget, tie_tolerance, keep_members=True)
+    return result, tuple(Allocation(assignment) for _, assignment in members)
 
 
 def max_nash_welfare(
@@ -555,47 +525,26 @@ def max_nash_welfare(
     """Maximum Nash welfare with exact arithmetic.
 
     First maximizes the number of agents with positive utility; among those
-    allocations, maximizes the exact rational product of the positive
-    utilities.  No logs, no floats, so strict comparisons cannot be flipped
-    by rounding.  Ties break to the lexicographically smallest assignment
-    vector, and ``maximizer_set_size`` is the exact count of optima.
+    allocations, maximizes the exact product of the positive utilities,
+    compared as integers on the kernel's common scale.  No logs, no floats,
+    so strict comparisons cannot be flipped by rounding.  Ties break to the
+    lexicographically smallest assignment vector, and ``maximizer_set_size``
+    is the exact count of optima.
 
     The reported welfare is the log-welfare of the winner (zero-utility
     agents contribute -inf terms), matching ``maximize_welfare`` with the
     plain logarithm.
     """
-    total = allocation_count(profile)
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    n, m = profile.n, profile.m
-    utilities = profile.utilities
-    zero = Fraction(0)
-    best_key = None
-    best_assignment = None
-    ties = 0
-    for assignment in product(range(n), repeat=m):
-        totals = [zero] * n
-        for good, agent in enumerate(assignment):
-            totals[agent] += utilities[agent][good]
-        positive_count = 0
-        prod = Fraction(1)
-        for value in totals:
-            if value > 0:
-                positive_count += 1
-                prod *= value
-        key = (positive_count, prod)
-        if best_key is None or key > best_key:
-            best_key, best_assignment, ties = key, assignment, 1
-        elif key == best_key:
-            ties += 1
-    positive_count, _ = best_key
-    best_allocation = Allocation(best_assignment)
+    rows, _ = _scaled_rows(profile, budget)
+    tracker = _TieTracker(0)
+    best_allocation, ties = tracker.scan(rows, _nash_key)
+    positive_count, _ = tracker.best
     finite = sum(
         math.log(float(u))
         for u in allocation_utilities(profile, best_allocation)
         if u > 0
     )
-    welfare = ExtendedWelfare(n - positive_count, finite)
+    welfare = ExtendedWelfare(profile.n - positive_count, finite)
     return SolveResult(best_allocation, welfare, ties)
 
 

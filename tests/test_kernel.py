@@ -1,0 +1,207 @@
+"""The shared enumeration kernel, checked against the brute-force oracles.
+
+Every exact scan (the welfare solvers, branch-and-bound, the Nash solver and
+the Pareto check) walks the allocations through one integer-scaled kernel.
+These tests feed it rational profiles whose rows have different
+denominators, with zeros that leave some agent at utility 0, and compare
+each consumer with the definitions in ``oracles``.
+"""
+
+from fractions import Fraction
+from itertools import product
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from fairalloc import (
+    Allocation,
+    EnumerationBudgetError,
+    Profile,
+    is_pareto_optimal,
+    max_nash_welfare,
+    maximize_welfare,
+)
+from fairalloc.model import _assignments, _scaled_rows
+from fairalloc import welfarist
+from fairalloc.welfarist import (
+    TIE_TOLERANCE,
+    Affine,
+    ExtendedWelfare,
+    LogAffine,
+    Power,
+    _Terms,
+    welfare_maximizers,
+)
+
+
+@st.composite
+def rational_profiles(draw, max_agents=3, max_goods=5):
+    """Rows with a denominator of their own; about a third of entries are 0."""
+    n = draw(st.integers(1, max_agents))
+    m = draw(st.integers(0, max_goods))
+    rows = []
+    for _ in range(n):
+        denominator = draw(st.integers(1, 12))
+        numerators = st.one_of(st.just(0), st.integers(1, 9), st.integers(1, 9))
+        rows.append([
+            Fraction(draw(numerators), denominator * draw(st.sampled_from((1, 1, 2, 5))))
+            for _ in range(m)
+        ])
+    return Profile(rows)
+
+
+@st.composite
+def huge_profiles(draw, max_agents=3, max_goods=5):
+    """Integer utilities up to 2**60, with zeros."""
+    n = draw(st.integers(1, max_agents))
+    m = draw(st.integers(0, max_goods))
+    entries = st.one_of(st.just(0), st.integers(1, 2**60), st.sampled_from((2**53, 2**53 + 1, 2**60)))
+    return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
+
+
+def assignments_of(profile, draw):
+    return Allocation(tuple(draw(st.integers(0, profile.n - 1)) for _ in range(profile.m)))
+
+
+def check_nash(profile):
+    result = max_nash_welfare(profile)
+    assignment, key, ties = oracles.best_nash(profile)
+    assert result.allocation.assignment == assignment
+    assert result.maximizer_set_size == ties
+    assert result.welfare.neg_inf_count == profile.n - key[0]
+
+
+def check_pareto(profile, allocation):
+    verdict = is_pareto_optimal(profile, allocation)
+    dominators = oracles.pareto_dominators(profile, allocation.assignment)
+    assert verdict.optimal == (not dominators)
+    if dominators:
+        assert verdict.dominator.assignment == dominators[0]
+
+
+def band_of(profile, f):
+    """Every allocation within the tie band of the oracle's maximum, in order."""
+    _, best_neg, best_finite = oracles.best_welfare(profile, f.value)
+    return [
+        candidate
+        for candidate, neg, finite in oracles.welfare_table(profile, f.value)
+        if neg == best_neg and finite >= best_finite - TIE_TOLERANCE
+    ]
+
+
+class TestWalk:
+    @given(rational_profiles(max_goods=4))
+    @settings(max_examples=60)
+    def test_visits_every_assignment_in_order_with_scaled_totals(self, profile):
+        rows, scale = _scaled_rows(profile, budget=10**7)
+        seen = []
+        for assignment, totals in _assignments(rows):
+            utilities = oracles.utilities_of(profile, assignment)
+            assert [Fraction(t, scale) for t in totals] == utilities
+            seen.append(tuple(assignment))
+        assert seen == list(product(range(profile.n), repeat=profile.m))
+
+    @given(rational_profiles(max_goods=4), st.data())
+    @settings(max_examples=60)
+    def test_prune_skips_exactly_the_completions_of_pruned_prefixes(self, profile, data):
+        rows, _ = _scaled_rows(profile, budget=10**7)
+        depths = data.draw(st.sets(st.integers(1, max(profile.m, 1))))
+        agent = data.draw(st.integers(0, profile.n - 1))
+        threshold = data.draw(st.integers(0, max(map(sum, rows)) + 1))
+
+        def prune(depth, totals):
+            return depth in depths and totals[agent] >= threshold
+
+        def pruned(assignment):
+            totals = [0] * profile.n
+            for depth, (good, owner) in enumerate(enumerate(assignment), start=1):
+                totals[owner] += rows[owner][good]
+                if prune(depth, totals):
+                    return True
+            return False
+
+        seen = [tuple(assignment) for assignment, _ in _assignments(rows, prune)]
+        expected = [a for a in product(range(profile.n), repeat=profile.m) if not pruned(a)]
+        assert seen == expected
+
+    def test_scale_is_one_common_factor(self):
+        rows, scale = _scaled_rows(Profile([["1/3"], ["1/2"]]), budget=10)
+        assert scale == 6
+        assert rows == ((2,), (3,))
+
+
+class TestExactScans:
+    @given(rational_profiles())
+    @example(Profile([["1/3"], ["1/2"]]))  # per-row scales would call it a tie
+    @example(Profile([["1/3", 0], ["1/2", 0], [0, "1/4"]]))
+    @settings(max_examples=150, deadline=None)
+    def test_nash_matches_oracle_on_rationals(self, profile):
+        check_nash(profile)
+
+    @given(huge_profiles())
+    @settings(max_examples=80, deadline=None)
+    def test_nash_matches_oracle_up_to_2_pow_60(self, profile):
+        check_nash(profile)
+
+    @given(rational_profiles(max_goods=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pareto_matches_oracle_on_rationals(self, profile, data):
+        check_pareto(profile, assignments_of(profile, data.draw))
+
+    @given(huge_profiles(max_goods=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pareto_matches_oracle_up_to_2_pow_60(self, profile, data):
+        check_pareto(profile, assignments_of(profile, data.draw))
+
+    def test_pareto_checks_the_budget_before_the_allocation(self):
+        profile = Profile([[1] * 5] * 3)
+        wrong_size = Allocation((0,))
+        with pytest.raises(EnumerationBudgetError):
+            is_pareto_optimal(profile, wrong_size, budget=10)
+
+
+WELFARE_FUNCTIONS = (LogAffine(), LogAffine(2, -1), Affine(1, 0), Power(0.5), Power(2))
+
+
+class TestWelfareScans:
+    @given(rational_profiles(max_goods=4), st.sampled_from(WELFARE_FUNCTIONS))
+    @example(Profile([["1/3"], ["1/2"]]), LogAffine())
+    @settings(max_examples=120, deadline=None)
+    def test_both_methods_match_oracle_on_rationals(self, profile, f):
+        assignment, neg, finite = oracles.best_welfare(profile, f.value)
+        band = band_of(profile, f)
+        for method in ("exhaustive", "branch-and-bound"):
+            result = maximize_welfare(profile, f, method=method)
+            assert result.allocation.assignment == assignment
+            assert result.welfare == ExtendedWelfare(neg, finite)
+            assert result.welfare.finite_part == finite
+            assert result.maximizer_set_size == len(band)
+
+    @given(rational_profiles(max_goods=4), st.sampled_from(WELFARE_FUNCTIONS))
+    @settings(max_examples=80, deadline=None)
+    def test_maximizer_set_matches_oracle_on_rationals(self, profile, f):
+        result, members = welfare_maximizers(profile, f)
+        band = band_of(profile, f)
+        assert [a.assignment for a in members] == band
+        assert result == maximize_welfare(profile, f)
+
+
+class TestTermMemo:
+    def test_keeps_at_most_the_cap_and_still_answers_past_it(self):
+        f = LogAffine()
+        terms = _Terms(f, 7)
+        for total in range(welfarist._TERMS_CAP + 50):
+            assert terms[total] == f.value(Fraction(total, 7))
+        assert len(terms) == welfarist._TERMS_CAP
+
+    @given(rational_profiles(max_goods=4), st.sampled_from(WELFARE_FUNCTIONS))
+    @settings(max_examples=60, deadline=None)
+    def test_scans_past_a_full_memo_give_the_same_results(self, profile, f):
+        expected = [maximize_welfare(profile, f, method=m) for m in ("exhaustive", "branch-and-bound")]
+        expected_band = welfare_maximizers(profile, f)
+        with mock.patch.object(welfarist, "_TERMS_CAP", 2):
+            assert [maximize_welfare(profile, f, method=m) for m in ("exhaustive", "branch-and-bound")] == expected
+            assert welfare_maximizers(profile, f) == expected_band
