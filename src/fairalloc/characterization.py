@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from .fairness import Ef1Verdict, is_ef1
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile
-from .welfarist import (
-    TIE_TOLERANCE,
-    SolveResult,
-    WelfareFunction,
-    welfare_maximizers,
-)
+from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
 
 logger = logging.getLogger(__name__)
 
@@ -191,11 +186,9 @@ def _choose_discount(f, k, y, z, override, max_halvings=60):
     return None
 
 
-def _verify_candidate(f, k, y, z, discount, budget, tie_tolerance):
+def _verify_candidate(f, k, y, z, discount, budget):
     profile = counterexample_profile(k, y, z, discount)
-    result, band = welfare_maximizers(
-        profile, f, budget=budget, tie_tolerance=tie_tolerance
-    )
+    result, band = welfare_maximizers(profile, f, budget=budget)
     verdict = is_ef1(profile, result.allocation)
     if verdict.holds:
         logger.warning(
@@ -231,7 +224,6 @@ def find_ef1_counterexample(
     grid=None,
     epsilon=None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    tie_tolerance: float = TIE_TOLERANCE,
 ) -> CounterexampleReport | None:
     """Search for a profile on which every welfare maximizer for ``f`` fails EF1.
 
@@ -263,7 +255,7 @@ def find_ef1_counterexample(
                 discount = _choose_discount(f, k, y, z, epsilon)
                 if discount is None:
                     continue
-                report = _verify_candidate(f, k, y, z, discount, budget, tie_tolerance)
+                report = _verify_candidate(f, k, y, z, discount, budget)
                 if report is not None:
                     return report
     return None

@@ -3,11 +3,18 @@
 Exit codes: 0 success (all requested properties hold / a counterexample was
 found), 1 a requested property is false or no counterexample exists, 2 parse
 or validation errors, 3 enumeration budget exceeded.
+
+``--format json`` reports are rendered from the result dataclasses by one
+serializer: keys are the dataclasses' field names, rationals are exact
+``"p/q"`` strings (``"4"`` when integral), allocations are assignment lists,
+and optional fields that are absent (the ``dominator`` of a Pareto-optimal
+allocation) are omitted.
 """
 
 import functools
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +29,14 @@ from .characterization import (
 )
 from .errors import EnumerationBudgetError
 from .experiment import ExperimentConfig, experiment_csv, run_experiment
-from .fairness import is_ef, is_ef1, is_pareto_optimal
+from .fairness import (
+    Ef1Verdict,
+    EfVerdict,
+    ParetoVerdict,
+    is_ef,
+    is_ef1,
+    is_pareto_optimal,
+)
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,
@@ -36,7 +50,6 @@ from .model import (
 from .welfarist import (
     ExtendedWelfare,
     SolveResult,
-    allocation_welfare,
     solve as run_solver,
     welfare_function_from_spec,
 )
@@ -76,24 +89,36 @@ def mapped_errors(fn):
     return wrapper
 
 
-def _read_profile(path: Path) -> Profile:
+def _read(path: Path, loads):
     try:
-        return loads_profile(path.read_text(encoding="utf-8"))
+        return loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_allocation(path: Path) -> Allocation:
-    try:
-        return loads_allocation(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def _jsonable(value):
+    """``value`` in JSON-ready form: a dataclass as a dict of its fields that
+    are not ``None``, a ``Fraction`` as its exact ``str`` (``"4"``, ``"1/2"``),
+    an ``Allocation`` as its assignment list, a tuple as a list."""
+    if isinstance(value, Allocation):
+        return list(value.assignment)
+    if is_dataclass(value):
+        value = {
+            field.name: getattr(value, field.name)
+            for field in fields(value)
+            if getattr(value, field.name) is not None
+        }
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
-def _fraction_text(value: Fraction):
-    if value.denominator == 1:
-        return str(int(value))
-    return f"{value.numerator}/{value.denominator}"
+def _json_text(payload) -> str:
+    return json.dumps(_jsonable(payload), indent=2)
 
 
 def _welfare_text(welfare: ExtendedWelfare) -> str:
@@ -105,21 +130,12 @@ def _welfare_text(welfare: ExtendedWelfare) -> str:
     return f"{welfare.finite_part:g}"
 
 
-def _welfare_json(welfare: ExtendedWelfare) -> dict:
-    return {
-        "neg_inf_count": welfare.neg_inf_count,
-        "finite_part": welfare.finite_part,
-    }
-
-
 def _solve_json(profile: Profile, result: SolveResult) -> dict:
-    bundles = result.allocation.bundles(profile.n)
-    utilities = allocation_utilities(profile, result.allocation)
     return {
-        "assignment": list(result.allocation.assignment),
-        "bundles": [sorted(bundle) for bundle in bundles],
-        "utilities": [_fraction_text(u) for u in utilities],
-        "welfare": _welfare_json(result.welfare),
+        "assignment": result.allocation,
+        "bundles": [sorted(bundle) for bundle in result.allocation.bundles(profile.n)],
+        "utilities": allocation_utilities(profile, result.allocation),
+        "welfare": result.welfare,
         "maximizer_set_size": result.maximizer_set_size,
     }
 
@@ -131,11 +147,34 @@ def _print_solution(profile: Profile, result: SolveResult, function_label: str):
     click.echo("allocation:")
     for agent in range(profile.n):
         goods = ", ".join(str(g) for g in sorted(bundles[agent])) or "-"
-        click.echo(
-            f"  agent {agent}: goods [{goods}]  utility {_fraction_text(utilities[agent])}"
-        )
+        click.echo(f"  agent {agent}: goods [{goods}]  utility {utilities[agent]}")
     click.echo(f"welfare: {_welfare_text(result.welfare)}")
     click.echo(f"maximizers: {result.maximizer_set_size}")
+
+
+def _ef1_lines(verdict: Ef1Verdict) -> list[str]:
+    lines = []
+    for v in verdict.violations:
+        lines.append(
+            f"  agent {v.envier} envies agent {v.envied} (own utility {v.own_utility}):"
+        )
+        for good, remaining in v.removal_gaps:
+            lines.append(f"    without good {good} the bundle is still worth {remaining}")
+    return lines
+
+
+def _ef_lines(verdict: EfVerdict) -> list[str]:
+    return [
+        f"  agent {v.envier} values agent {v.envied}'s bundle at "
+        f"{v.envied_utility}, own bundle at {v.own_utility}"
+        for v in verdict.violations
+    ]
+
+
+def _po_lines(verdict: ParetoVerdict) -> list[str]:
+    if verdict.optimal:
+        return []
+    return [f"  dominated by assignment {list(verdict.dominator.assignment)}"]
 
 
 budget_option = click.option(
@@ -162,6 +201,13 @@ function_option = click.option(
 )
 
 
+_input_file = click.Path(exists=True, dir_okay=False, path_type=Path)
+_output_file = click.Path(dir_okay=False, path_type=Path)
+profile_option = click.option(
+    "--profile", "profile_path", type=_input_file, required=True, help="Profile JSON file."
+)
+
+
 @click.group()
 def main():
     """Fair allocation of indivisible goods: welfarist solvers, EF/EF1/PO
@@ -169,42 +215,25 @@ def main():
 
 
 @main.command()
-@click.option(
-    "--profile",
-    "profile_path",
-    type=click.Path(exists=True, dir_okay=False, path_type=Path),
-    required=True,
-    help="Profile JSON file.",
-)
+@profile_option
 @function_option
 @budget_option
 @format_option
 @mapped_errors
 def solve(profile_path, spec, budget, fmt):
     """Compute a welfare-maximizing allocation for a profile."""
-    profile = _read_profile(profile_path)
+    profile = _read(profile_path, loads_profile)
     f = welfare_function_from_spec(spec)
     result = run_solver(profile, f, budget=budget)
     if fmt == "json":
-        payload = {"function": str(f), **_solve_json(profile, result)}
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_json_text({"function": str(f), **_solve_json(profile, result)}))
     else:
         _print_solution(profile, result, str(f))
 
 
 @main.command()
-@click.option(
-    "--profile",
-    "profile_path",
-    type=click.Path(exists=True, dir_okay=False, path_type=Path),
-    required=True,
-)
-@click.option(
-    "--allocation",
-    "allocation_path",
-    type=click.Path(exists=True, dir_okay=False, path_type=Path),
-    required=True,
-)
+@profile_option
+@click.option("--allocation", "allocation_path", type=_input_file, required=True)
 @click.option("--ef", "want_ef", is_flag=True, help="Check envy-freeness.")
 @click.option("--ef1", "want_ef1", is_flag=True, help="Check envy-freeness up to one good.")
 @click.option("--po", "want_po", is_flag=True, help="Check Pareto optimality.")
@@ -216,79 +245,31 @@ def check(profile_path, allocation_path, want_ef, want_ef1, want_po, budget, fmt
 
     Exits 0 when every requested property holds, 1 when any fails.
     """
-    profile = _read_profile(profile_path)
-    allocation = _read_allocation(allocation_path)
+    profile = _read(profile_path, loads_profile)
+    allocation = _read(allocation_path, loads_allocation)
     if not (want_ef or want_ef1 or want_po):
         want_ef = want_ef1 = want_po = True
+    wanted = {"ef1": want_ef1, "ef": want_ef, "po": want_po}
+    checks = (
+        ("ef1", lambda: is_ef1(profile, allocation), _ef1_lines),
+        ("ef", lambda: is_ef(profile, allocation), _ef_lines),
+        ("po", lambda: is_pareto_optimal(profile, allocation, budget=budget), _po_lines),
+    )
 
     all_hold = True
     payload = {}
     lines = []
-    if want_ef1:
-        verdict = is_ef1(profile, allocation)
-        all_hold &= verdict.holds
-        payload["ef1"] = {
-            "holds": verdict.holds,
-            "violations": [
-                {
-                    "envier": v.envier,
-                    "envied": v.envied,
-                    "own_utility": _fraction_text(v.own_utility),
-                    "removal_gaps": [
-                        [good, _fraction_text(remaining)]
-                        for good, remaining in v.removal_gaps
-                    ],
-                }
-                for v in verdict.violations
-            ],
-        }
-        lines.append(f"EF1: {'holds' if verdict.holds else 'fails'}")
-        for v in verdict.violations:
-            lines.append(
-                f"  agent {v.envier} envies agent {v.envied} "
-                f"(own utility {_fraction_text(v.own_utility)}):"
-            )
-            for good, remaining in v.removal_gaps:
-                lines.append(
-                    f"    without good {good} the bundle is still worth "
-                    f"{_fraction_text(remaining)}"
-                )
-    if want_ef:
-        verdict = is_ef(profile, allocation)
-        all_hold &= verdict.holds
-        payload["ef"] = {
-            "holds": verdict.holds,
-            "violations": [
-                {
-                    "envier": v.envier,
-                    "envied": v.envied,
-                    "own_utility": _fraction_text(v.own_utility),
-                    "envied_utility": _fraction_text(v.envied_utility),
-                }
-                for v in verdict.violations
-            ],
-        }
-        lines.append(f"EF: {'holds' if verdict.holds else 'fails'}")
-        for v in verdict.violations:
-            lines.append(
-                f"  agent {v.envier} values agent {v.envied}'s bundle at "
-                f"{_fraction_text(v.envied_utility)}, own bundle at "
-                f"{_fraction_text(v.own_utility)}"
-            )
-    if want_po:
-        verdict = is_pareto_optimal(profile, allocation, budget=budget)
-        all_hold &= verdict.optimal
-        payload["po"] = {"optimal": verdict.optimal}
-        if verdict.dominator is not None:
-            payload["po"]["dominator"] = list(verdict.dominator.assignment)
-        lines.append(f"PO: {'holds' if verdict.optimal else 'fails'}")
-        if verdict.dominator is not None:
-            lines.append(
-                f"  dominated by assignment {list(verdict.dominator.assignment)}"
-            )
+    for name, checker, witness_lines in checks:
+        if not wanted[name]:
+            continue
+        payload[name] = verdict = checker()
+        witnesses = witness_lines(verdict)  # empty exactly when the property holds
+        all_hold &= not witnesses
+        lines.append(f"{name.upper()}: {'fails' if witnesses else 'holds'}")
+        lines.extend(witnesses)
 
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_json_text(payload))
     else:
         for line in lines:
             click.echo(line)
@@ -299,9 +280,9 @@ def check(profile_path, allocation_path, want_ef, want_ef1, want_po, budget, fmt
 def _counterexample_json(report: CounterexampleReport) -> dict:
     return {
         "k": report.k,
-        "agent0_value": _fraction_text(report.agent0_value),
-        "agent1_value": _fraction_text(report.agent1_value),
-        "discount": _fraction_text(report.discount),
+        "agent0_value": report.agent0_value,
+        "agent1_value": report.agent1_value,
+        "discount": report.discount,
         "profile": json.loads(dumps_profile(report.profile)),
         "solver": _solve_json(report.profile, report.solve),
         "ef1_holds": report.ef1.holds,
@@ -322,23 +303,12 @@ def _counterexample_json(report: CounterexampleReport) -> dict:
     help="Override the discount instead of halving from z/2.",
 )
 @click.option(
-    "--profile-out",
-    type=click.Path(dir_okay=False, path_type=Path),
-    default=None,
-    help="Write the constructed profile JSON here.",
+    "--profile-out", type=_output_file, help="Write the constructed profile JSON here."
 )
 @click.option(
-    "--allocation-out",
-    type=click.Path(dir_okay=False, path_type=Path),
-    default=None,
-    help="Write the solver's allocation JSON here.",
+    "--allocation-out", type=_output_file, help="Write the solver's allocation JSON here."
 )
-@click.option(
-    "--report-out",
-    type=click.Path(dir_okay=False, path_type=Path),
-    default=None,
-    help="Write the full report JSON here.",
-)
+@click.option("--report-out", type=_output_file, help="Write the full report JSON here.")
 @budget_option
 @format_option
 @mapped_errors
@@ -365,8 +335,7 @@ def counterexample(
     if report is None:
         click.echo(
             f"no counterexample found for {f} with k up to {k_max} "
-            f"on the grid [{_fraction_text(grid_min)}, {_fraction_text(grid_max)}] "
-            f"step {_fraction_text(grid_step)}"
+            f"on the grid [{grid_min}, {grid_max}] step {grid_step}"
         )
         sys.exit(1)
     if profile_out is not None:
@@ -375,22 +344,20 @@ def counterexample(
         allocation_out.write_text(
             dumps_allocation(report.solve.allocation), encoding="utf-8"
         )
+    payload = _json_text(_counterexample_json(report))
     if report_out is not None:
-        report_out.write_text(
-            json.dumps(_counterexample_json(report), indent=2) + "\n", encoding="utf-8"
-        )
+        report_out.write_text(payload + "\n", encoding="utf-8")
     if fmt == "json":
-        click.echo(json.dumps(_counterexample_json(report), indent=2))
+        click.echo(payload)
         return
     click.echo(f"function: {f}")
     click.echo(
-        f"k={report.k}, y={_fraction_text(report.agent0_value)}, "
-        f"z={_fraction_text(report.agent1_value)}, "
-        f"discount={_fraction_text(report.discount)}"
+        f"k={report.k}, y={report.agent0_value}, z={report.agent1_value}, "
+        f"discount={report.discount}"
     )
     click.echo(f"profile: {report.profile.n} agents, {report.profile.m} goods")
     for i, row in enumerate(report.profile.utilities):
-        click.echo(f"  agent {i} values: {', '.join(_fraction_text(v) for v in row)}")
+        click.echo(f"  agent {i} values: {', '.join(map(str, row))}")
     _print_solution(report.profile, report.solve, str(f))
     click.echo("EF1: fails for every welfare-maximizing allocation")
 
@@ -440,28 +407,16 @@ def lemma_check(spec, k_min, k_max, grid_text, tolerance, fit_k_max, fmt):
         payload = {
             "function": str(f),
             "constancy": [
-                {
-                    "k": r.k,
-                    "spread": r.spread,
-                    "constant": r.constant,
-                    "level": r.level,
-                }
+                {"k": r.k, "spread": r.spread, "constant": r.constant, "level": r.level}
                 for r in reports
             ],
             "log_affine": outcome.is_log_affine,
         }
         if outcome.fit is not None:
-            payload["fit"] = {
-                "a": outcome.fit.a,
-                "b": outcome.fit.b,
-                "max_residual": outcome.fit.max_residual,
-            }
+            payload["fit"] = outcome.fit
         else:
-            payload["first_failure"] = {
-                "k": outcome.failed.k,
-                "spread": outcome.failed.spread,
-            }
-        click.echo(json.dumps(payload, indent=2))
+            payload["first_failure"] = {"k": outcome.failed.k, "spread": outcome.failed.spread}
+        click.echo(_json_text(payload))
         return
 
     click.echo(f"function: {f}")
@@ -508,33 +463,16 @@ def lemma_check(spec, k_min, k_max, grid_text, tolerance, fit_k_max, fmt):
     show_default=True,
     help="Comma-separated subset of ef1, ef, po.",
 )
-@click.option(
-    "--output",
-    type=click.Path(dir_okay=False, path_type=Path),
-    default=None,
-    help="Write the CSV here instead of stdout.",
-)
+@click.option("--output", type=_output_file, help="Write the CSV here instead of stdout.")
 @budget_option
 @mapped_errors
-def experiment(
-    count, agents, goods, max_utility, min_utility, require_positive_rows,
-    seed, specs, checks, output, budget,
-):
+def experiment(specs, checks, output, **config_fields):
     """Run seeded random-profile experiments and emit one CSV row per
     (profile, function)."""
-    functions = tuple(welfare_function_from_spec(spec) for spec in specs)
-    wanted = tuple(piece.strip() for piece in checks.split(",") if piece.strip())
     config = ExperimentConfig(
-        count=count,
-        agents=agents,
-        goods=goods,
-        max_utility=max_utility,
-        functions=functions,
-        seed=seed,
-        min_utility=min_utility,
-        require_positive_rows=require_positive_rows,
-        checks=wanted,
-        budget=budget,
+        functions=tuple(welfare_function_from_spec(spec) for spec in specs),
+        checks=tuple(piece.strip() for piece in checks.split(",") if piece.strip()),
+        **config_fields,
     )
     text = experiment_csv(run_experiment(config))
     if output is not None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .fairness import is_ef, is_ef1, is_pareto_optimal
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile
-from .welfarist import ExtendedWelfare, WelfareFunction, allocation_welfare, solve
+from .welfarist import ExtendedWelfare, WelfareFunction, solve
 
 CSV_COLUMNS = ("index", "function", "ef1", "ef", "po", "welfare")
 
@@ -99,9 +99,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                 "ef1": "",
                 "ef": "",
                 "po": "",
-                "welfare": format_welfare(
-                    allocation_welfare(profile, result.allocation, f)
-                ),
+                "welfare": format_welfare(result.welfare),
             }
             if "ef1" in config.checks:
                 row["ef1"] = _flag(is_ef1(profile, result.allocation).holds)

@@ -294,7 +294,10 @@ def evaluate_expression(expr: Expression, x) -> float:
     IEEE semantics inside the tree; a final result of NaN or ``+inf`` raises
     :class:`ExpressionEvalError`.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        raise ExpressionEvalError("argument is too large for float arithmetic") from None
     if x < 0:
         raise ExpressionEvalError(f"expressions are evaluated on x >= 0, got {x!r}")
     result = _eval(expr, x)

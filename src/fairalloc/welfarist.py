@@ -470,12 +470,12 @@ def _concavity_prune(rows, terms, tracker):
     return prune
 
 
-def _scan_welfare(profile, f, budget, tolerance, keep_members=False, bounded=False):
+def _scan_welfare(profile, f, budget, keep_members=False, bounded=False):
     """The welfare scan behind :func:`maximize_welfare` (both methods) and
     :func:`welfare_maximizers`; ``bounded`` prunes with the concavity bound."""
     rows, scale = _scaled_rows(profile, budget)
     terms = _Terms(f, scale)
-    tracker = _TieTracker(tolerance, keep_members)
+    tracker = _TieTracker(TIE_TOLERANCE, keep_members)
     prune = _concavity_prune(rows, terms, tracker) if bounded else None
     allocation, ties = tracker.scan(rows, partial(_welfare_key, terms.__getitem__), prune)
     neg_inf, finite = tracker.best
@@ -487,7 +487,6 @@ def maximize_welfare(
     f: WelfareFunction,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    tie_tolerance: float = TIE_TOLERANCE,
     method: str = "exhaustive",
 ) -> SolveResult:
     """Maximize the additive welfare over all allocations.
@@ -500,7 +499,7 @@ def maximize_welfare(
     if method not in ("exhaustive", "branch-and-bound"):
         raise ValueError(f"unknown solve method {method!r}")
     bounded = method == "branch-and-bound" and f.is_concave()
-    return _scan_welfare(profile, f, budget, tie_tolerance, bounded=bounded)[0]
+    return _scan_welfare(profile, f, budget, bounded=bounded)[0]
 
 
 def welfare_maximizers(
@@ -508,15 +507,21 @@ def welfare_maximizers(
     f: WelfareFunction,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    tie_tolerance: float = TIE_TOLERANCE,
 ) -> tuple[SolveResult, tuple[Allocation, ...]]:
     """Like :func:`maximize_welfare`, but also return the whole maximizer set.
 
     The second element lists every allocation within the tie band, in
     lexicographic order; its length equals ``maximizer_set_size``.
     """
-    result, members = _scan_welfare(profile, f, budget, tie_tolerance, keep_members=True)
+    result, members = _scan_welfare(profile, f, budget, keep_members=True)
     return result, tuple(Allocation(assignment) for _, assignment in members)
+
+
+def _nash_maximum(profile, f, budget):
+    """The exact Nash scan, with the winner's welfare reported under ``f``."""
+    rows, _ = _scaled_rows(profile, budget)
+    allocation, ties = _TieTracker(0).scan(rows, _nash_key)
+    return SolveResult(allocation, allocation_welfare(profile, allocation, f), ties)
 
 
 def max_nash_welfare(
@@ -535,17 +540,7 @@ def max_nash_welfare(
     agents contribute -inf terms), matching ``maximize_welfare`` with the
     plain logarithm.
     """
-    rows, _ = _scaled_rows(profile, budget)
-    tracker = _TieTracker(0)
-    best_allocation, ties = tracker.scan(rows, _nash_key)
-    positive_count, _ = tracker.best
-    finite = sum(
-        math.log(float(u))
-        for u in allocation_utilities(profile, best_allocation)
-        if u > 0
-    )
-    welfare = ExtendedWelfare(profile.n - positive_count, finite)
-    return SolveResult(best_allocation, welfare, ties)
+    return _nash_maximum(profile, LogAffine(), budget)
 
 
 def solve(
@@ -553,8 +548,6 @@ def solve(
     f: WelfareFunction,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    tie_tolerance: float = TIE_TOLERANCE,
-    method: str = "exhaustive",
 ) -> SolveResult:
     """Run the welfarist rule for ``f``, routing log-affine specs to the
     exact Nash solver (same rule, sturdier arithmetic).
@@ -562,12 +555,5 @@ def solve(
     The reported welfare is always under ``f`` itself.
     """
     if isinstance(f, LogAffine):
-        result = max_nash_welfare(profile, budget=budget)
-        return SolveResult(
-            result.allocation,
-            allocation_welfare(profile, result.allocation, f),
-            result.maximizer_set_size,
-        )
-    return maximize_welfare(
-        profile, f, budget=budget, tie_tolerance=tie_tolerance, method=method
-    )
+        return _nash_maximum(profile, f, budget)
+    return maximize_welfare(profile, f, budget=budget)

@@ -56,6 +56,16 @@ class TestSolve:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize(
+        "spec", ["log", "log:2,1", "expr:x", "affine:1,0", "power:2", "exp"]
+    )
+    def test_utility_beyond_float_range_exits_2(self, runner, tmp_path, spec):
+        path = write_profile(tmp_path / "p.json", [[10**400, 1], [1, 2]])
+        result = runner.invoke(main, ["solve", "--profile", path, "--f", spec])
+        assert result.exit_code == 2
+        assert "error:" in result.stderr
+
+
 class TestCheck:
     def test_all_properties_hold(self, runner, tmp_path):
         profile = write_profile(tmp_path / "p.json", [[1, 0], [0, 1]])
@@ -162,7 +172,12 @@ class TestCounterexample:
             ],
         )
         assert result.exit_code == 0
-        assert json.loads(result.output)["discount"] == "1/4"
+        payload = json.loads(result.output)
+        assert list(payload) == [
+            "k", "agent0_value", "agent1_value", "discount", "profile", "solver",
+            "ef1_holds", "all_maximizers_violate",
+        ]
+        assert payload["discount"] == "1/4"
 
     def test_bad_grid_exits_2(self, runner):
         result = runner.invoke(
@@ -252,3 +267,81 @@ class TestExperiment:
     def test_unknown_check_exits_2(self, runner):
         result = runner.invoke(main, ["experiment", "--count", "1", "--checks", "efx"])
         assert result.exit_code == 2
+
+
+class TestJsonSchema:
+    """The full JSON reports: keys are the result dataclasses' field names,
+    rationals are exact strings, absent optional fields are omitted."""
+
+    PROFILE = [[0, 2, 2], ["1/2", 1, 1]]
+
+    def check_json(self, runner, tmp_path, assignment, *flags):
+        profile = write_profile(tmp_path / "p.json", self.PROFILE)
+        allocation = tmp_path / "a.json"
+        allocation.write_text(dumps_allocation(Allocation(assignment)), encoding="utf-8")
+        return runner.invoke(
+            main,
+            ["check", "--profile", profile, "--allocation", str(allocation),
+             *flags, "--format", "json"],
+        )
+
+    def test_check_payload_with_every_witness(self, runner, tmp_path):
+        result = self.check_json(runner, tmp_path, (0, 0, 0))
+        assert result.exit_code == 1
+        expected = {
+            "ef1": {
+                "holds": False,
+                "violations": [
+                    {
+                        "envier": 1,
+                        "envied": 0,
+                        "own_utility": "0",
+                        "removal_gaps": [[0, "2"], [1, "3/2"], [2, "3/2"]],
+                    }
+                ],
+            },
+            "ef": {
+                "holds": False,
+                "violations": [
+                    {"envier": 1, "envied": 0, "own_utility": "0", "envied_utility": "5/2"}
+                ],
+            },
+            "po": {"optimal": False, "dominator": [1, 0, 0]},
+        }
+        assert result.output == json.dumps(expected, indent=2) + "\n"
+
+    def test_pareto_optimal_has_no_dominator_key(self, runner, tmp_path):
+        result = self.check_json(runner, tmp_path, (1, 0, 0), "--po")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"po": {"optimal": True}}
+
+    def test_solve_keys(self, runner, tmp_path):
+        path = write_profile(tmp_path / "p.json", self.PROFILE)
+        result = runner.invoke(main, ["solve", "--profile", path, "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert list(payload) == [
+            "function", "assignment", "bundles", "utilities", "welfare",
+            "maximizer_set_size",
+        ]
+        assert list(payload["welfare"]) == ["neg_inf_count", "finite_part"]
+        assert payload["utilities"] == ["2", "3/2"]
+
+    def test_lemma_check_keys(self, runner):
+        fitted = json.loads(
+            runner.invoke(
+                main, ["lemma-check", "--f", "log", "--format", "json", "--k-max", "2"]
+            ).output
+        )
+        assert list(fitted) == ["function", "constancy", "log_affine", "fit"]
+        assert list(fitted["fit"]) == ["a", "b", "max_residual"]
+        assert [list(entry) for entry in fitted["constancy"]] == [
+            ["k", "spread", "constant", "level"]
+        ] * 2
+
+        failed = json.loads(
+            runner.invoke(main, ["lemma-check", "--f", "power:2", "--format", "json"]).output
+        )
+        assert list(failed) == ["function", "constancy", "log_affine", "first_failure"]
+        assert failed["first_failure"] == {"k": 1, "spread": failed["constancy"][0]["spread"]}
+        assert failed["constancy"][0]["level"] is None

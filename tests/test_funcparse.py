@@ -101,6 +101,10 @@ class TestEvaluation:
         with pytest.raises(ExpressionEvalError, match="overflow"):
             evaluate_expression(parse_expression("exp(x)"), 1000)
 
+    def test_argument_beyond_float_range(self):
+        with pytest.raises(ExpressionEvalError, match="too large"):
+            evaluate_expression(parse_expression("x"), Fraction(10**400))
+
     def test_agrees_with_math_on_composite(self):
         expr = parse_expression("3*ln(x)+2")
         for x in (0.5, 1, 2, 7.25):
