@@ -8,14 +8,22 @@ two-agent instance on which *every* welfare-maximizing allocation fails the
 one-good-removal envy check.  This module provides the constancy test, a
 log-affine parameter fit built on it, and the instance construction with an
 exhaustive verification of the failure.
+
+The constancy test and the fit sample ``d_k`` in floats under a tolerance;
+the search compares ``d_k`` values by certified signs from rational
+enclosures of ``f``, so for log-affine ``f`` every comparison ties and no
+instance is built.
 """
 
 import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from .fairness import Ef1Verdict, is_ef1
+from .funcparse import enclose_expression
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile
 from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
 
@@ -26,6 +34,9 @@ DEFAULT_SEARCH_GRID = tuple(Fraction(i, 2) for i in range(1, 11))
 
 #: Default grid for constancy reports and the log fit.
 DEFAULT_CONSTANCY_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
+
+#: Significant digits of the search's enclosures of ``f``, coarsest first.
+_DIGITS = (12, 80)
 
 
 def scaled_difference(f: WelfareFunction, k: int, x) -> float:
@@ -165,22 +176,45 @@ class CounterexampleReport:
     all_maximizers_violate: bool
 
 
-def _strict_gap_holds(f, k, y, z, discount):
-    lhs = f.value((k + 1) * y) - f.value(k * y)
-    rhs = f.value((k + 1) * z - discount) - f.value(k * z - discount)
-    return lhs > rhs
+def _sign_test(f):
+    """``sign(first, second)``: the sign of ``(f(a) - f(b)) - (f(c) - f(d))``
+    for ``first = (a, b)`` and ``second = (c, d)``, from enclosures of ``f``
+    refined over :data:`_DIGITS`, or 0 ("tied") when they still overlap at
+    the last rung.  Enclosures are memoized per (point, rung) for one search."""
+    expression = f.ast()
+    at = cache(lambda x, digits: enclose_expression(expression, x, digits))
+
+    @cache
+    def difference(pair, digits):
+        (a_lo, a_hi), (b_lo, b_hi) = at(pair[0], digits), at(pair[1], digits)
+        return a_lo - b_hi, a_hi - b_lo
+
+    def sign(first, second):
+        for digits in _DIGITS:
+            lo, hi = difference(first, digits)
+            other_lo, other_hi = difference(second, digits)
+            if lo > other_hi:
+                return 1
+            if hi < other_lo:
+                return -1
+            if lo == hi == other_lo == other_hi:  # exactly equal: no rung splits them
+                return 0
+        return 0
+
+    return sign
 
 
-def _choose_discount(f, k, y, z, override, max_halvings=60):
+def _choose_discount(sign, k, y, z, override, max_halvings=60):
     # continuity guarantees a small enough discount works; halve from z/2
+    def gap_holds(eps):  # f((k+1)y) - f(ky) > f((k+1)z - eps) - f(kz - eps)
+        return sign(((k + 1) * y, k * y), ((k + 1) * z - eps, k * z - eps)) > 0
+
     if override is not None:
         eps = Fraction(override)
-        if not 0 < eps < z:
-            return None
-        return eps if _strict_gap_holds(f, k, y, z, eps) else None
+        return eps if 0 < eps < z and gap_holds(eps) else None
     eps = z / 2
     for _ in range(max_halvings):
-        if _strict_gap_holds(f, k, y, z, eps):
+        if gap_holds(eps):
             return eps
         eps /= 2
     return None
@@ -232,9 +266,12 @@ def find_ef1_counterexample(
     by halving from ``z/2`` (or uses the ``epsilon`` override where it fits),
     builds the exact-rational profile, and certifies the result by exhaustive
     enumeration: the report is returned only if every allocation within the
-    welfare tie band fails the one-good-removal check.  Candidates whose
-    float gap held but whose verification failed are logged, never silently
-    dropped.  Returns the first verified report in scan order, or ``None``.
+    welfare tie band fails the one-good-removal check.  Both comparisons are
+    certified signs from enclosures of ``f.ast()``, and pairs they cannot
+    tell apart are skipped, so log-affine ``f`` builds no candidate.
+    Candidates whose certified gap held but whose verification failed are
+    logged, never silently dropped.  Returns the first verified report in
+    scan order, or ``None``.
     """
     points = tuple(Fraction(g) for g in (DEFAULT_SEARCH_GRID if grid is None else grid))
     if not points:
@@ -243,21 +280,20 @@ def find_ef1_counterexample(
         raise ValueError("the search grid must contain only positive values")
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
+    sign = _sign_test(f)
     for k in range(1, k_max + 1):
-        for first_index in range(len(points)):
-            for second_index in range(first_index + 1, len(points)):
-                first, second = points[first_index], points[second_index]
-                d_first = scaled_difference(f, k, first)
-                d_second = scaled_difference(f, k, second)
-                if d_first == d_second:
-                    continue
-                y, z = (first, second) if d_first > d_second else (second, first)
-                discount = _choose_discount(f, k, y, z, epsilon)
-                if discount is None:
-                    continue
-                report = _verify_candidate(f, k, y, z, discount, budget)
-                if report is not None:
-                    return report
+        d_k = cache(lambda x, k=k: ((k + 1) * x, k * x))  # d_k(x) = f((k+1)x) - f(kx)
+        for first, second in combinations(points, 2):
+            order = sign(d_k(first), d_k(second))
+            if order == 0:
+                continue
+            y, z = (first, second) if order > 0 else (second, first)
+            discount = _choose_discount(sign, k, y, z, epsilon)
+            if discount is None:
+                continue
+            report = _verify_candidate(f, k, y, z, discount, budget)
+            if report is not None:
+                return report
     return None
 
 

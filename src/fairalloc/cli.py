@@ -42,6 +42,7 @@ from .model import (
     Allocation,
     Profile,
     allocation_utilities,
+    check_allocation,
     dumps_allocation,
     dumps_profile,
     loads_allocation,
@@ -89,9 +90,13 @@ def mapped_errors(fn):
     return wrapper
 
 
-def _read(path: Path, loads):
+def _read(path: Path, loads, validate=None):
+    """``loads`` of the file, then ``validate`` of that; errors name the file."""
     try:
-        return loads(path.read_text(encoding="utf-8"))
+        value = loads(path.read_text(encoding="utf-8"))
+        if validate is not None:
+            validate(value)
+        return value
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -246,7 +251,7 @@ def check(profile_path, allocation_path, want_ef, want_ef1, want_po, budget, fmt
     Exits 0 when every requested property holds, 1 when any fails.
     """
     profile = _read(profile_path, loads_profile)
-    allocation = _read(allocation_path, loads_allocation)
+    allocation = _read(allocation_path, loads_allocation, lambda a: check_allocation(profile, a))
     if not (want_ef or want_ef1 or want_po):
         want_ef = want_ef1 = want_po = True
     wanted = {"ef1": want_ef1, "ef": want_ef, "po": want_po}

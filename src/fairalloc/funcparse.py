@@ -12,12 +12,16 @@ Grammar, loosest binding first::
 
 Literals are kept as exact ``Fraction``s in the tree; evaluation is IEEE
 floating point with ``ln(0) = -inf``.  A NaN or ``+inf`` result is an error.
+:func:`enclose_expression` instead bounds the exact value between rationals.
 """
 
+import decimal
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError
@@ -306,6 +310,102 @@ def evaluate_expression(expr: Expression, x) -> float:
     if result == math.inf:
         raise ExpressionEvalError("expression evaluated to +inf")
     return result
+
+
+@lru_cache(maxsize=None)
+def _context(digits):
+    traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Underflow]
+    return decimal.Context(prec=digits, traps=traps)
+
+
+def _increasing(name, interval, digits):
+    """Bounds on the increasing ``ln``, ``exp`` or ``sqrt`` over ``interval``:
+    ends rounded outward to ``digits`` digits, correctly rounded results moved
+    one unit in the last place outward (0 comes only exactly)."""
+    lo, hi = interval
+    if name != "exp" and (lo < 0 or name == "ln" and lo == 0):
+        raise ExpressionEvalError(f"{name} of a value in [{lo}, {hi}]")
+    ctx = _context(digits)
+    outwards = (ctx.next_minus, ctx.next_plus)
+    results = []
+    try:
+        for end, outward in zip(interval, outwards):
+            ctx.clear_flags()
+            arg = ctx.divide(end.numerator, end.denominator)
+            if ctx.flags[decimal.Inexact]:
+                results.append(getattr(ctx, name)(outward(arg)))
+            else:
+                reuse = results and end is lo  # an exact point: one evaluation
+                results.append(results[0] if reuse else getattr(ctx, name)(arg))
+    except decimal.DecimalException as exc:
+        raise ExpressionEvalError(f"{name} out of range ({exc!r})") from None
+    return tuple(
+        Fraction(outward(result)) if result else Fraction(0)
+        for result, outward in zip(results, outwards)
+    )
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _point(value):
+    return value, value
+
+
+def _ends(interval):
+    return interval[:1] if interval[0] is interval[1] else interval
+
+
+def _combine(op, left, right):
+    """Exact ``+ - * /`` on intervals; a point (one object twice) stays one."""
+    values = [op(a, b) for a in _ends(left) for b in _ends(right)]
+    return _point(values[0]) if len(values) == 1 else (min(values), max(values))
+
+
+def _power(base, exponent, digits):
+    (lo, hi), (e_lo, e_hi) = base, exponent
+    if e_lo == e_hi and e_lo.denominator == 2:  # x^(n/2) = sqrt(x^n)
+        return _increasing("sqrt", _power(base, _point(2 * e_lo), digits), digits)
+    if e_lo != e_hi or e_lo.denominator != 1:  # x^p = exp(p ln x)
+        logarithm = _increasing("ln", base, digits)
+        return _increasing("exp", _combine(operator.mul, logarithm, exponent), digits)
+    n = e_lo.numerator
+    if n < 0 and lo <= 0 <= hi:
+        raise ExpressionEvalError("division by zero")
+    if lo is hi:
+        return _point(lo**n)
+    ends = (lo**n, hi**n)
+    return (Fraction(0) if n % 2 == 0 and lo < 0 < hi else min(ends)), max(ends)
+
+
+def _enclose(node, x, digits):
+    if isinstance(node, Num):
+        return _point(node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return _combine(operator.sub, _point(0), _enclose(node.operand, x, digits))
+    if isinstance(node, Call):
+        return _increasing(node.name, _enclose(node.operand, x, digits), digits)
+    left = _enclose(node.left, x, digits)
+    right = _enclose(node.right, x, digits)
+    if node.op == "^":
+        return _power(left, right, digits)
+    if node.op == "/" and right[0] <= 0 <= right[1]:
+        raise ExpressionEvalError("division by zero")
+    return _combine(_ARITHMETIC[node.op], left, right)
+
+
+def enclose_expression(expr: Expression, x, digits: int) -> tuple[Fraction, Fraction]:
+    """Rationals ``lo <= expr(x) <= hi`` at a rational ``x >= 0``.
+
+    ``+ - * /`` and integer powers are exact, so ``lo == hi`` and no
+    ``decimal`` call unless ``ln``, ``exp``, ``sqrt`` or a non-integer power
+    occurs; those work at ``digits`` significant digits, and a step outside
+    their domain (``ln`` of a value that may be 0) raises
+    :class:`ExpressionEvalError`.
+    """
+    return _enclose(expr, _point(Fraction(x)), digits)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,11 @@ from itertools import accumulate
 
 from .errors import InvalidWelfareFunctionError
 from .funcparse import (
+    BinOp,
+    Call,
     Expression,
+    Num,
+    Var,
     check_increasing,
     evaluate_expression,
     parse_expression,
@@ -59,25 +63,37 @@ def _finite_above(result: float, description: str) -> float:
     return result
 
 
+def _sized(x) -> str:
+    # a huge utility's repr runs to hundreds of characters; its size does not
+    return f"utility with {len(str(abs(math.trunc(x))))} digits"
+
+
 def _as_float(x) -> float:
     try:
         return float(x)
     except OverflowError:
         raise InvalidWelfareFunctionError(
-            f"utility {x!r} is too large for float arithmetic"
+            f"{_sized(x)} is too large for float arithmetic"
         ) from None
+
+
+def _affine_tree(f, node):
+    return BinOp("+", BinOp("*", Num(Fraction(f.a)), node), Num(Fraction(f.b)))
 
 
 class WelfareFunction:
     """An increasing function from [0, inf) into [-inf, inf).
 
     ``value`` accepts exact rationals (or floats) and returns a float;
-    ``-inf`` is allowed only at 0.  Instances are immutable and safe to
-    share.
+    ``-inf`` is allowed only at 0; ``ast`` is ``f`` as an expression tree,
+    for certified bounds.  Instances are immutable and safe to share.
     """
 
     def value(self, x) -> float:
         raise NotImplementedError
+
+    def ast(self) -> Expression:
+        raise NotImplementedError(f"{type(self).__name__} supplies no expression tree")
 
     def is_concave(self) -> bool:
         """Whether the solver may use the concavity-based pruning bound."""
@@ -111,6 +127,9 @@ class LogAffine(WelfareFunction):
             )
         return _finite_above(self.a * math.log(fx) + self.b, "log-affine function")
 
+    def ast(self) -> Expression:
+        return _affine_tree(self, Call("ln", Var()))
+
     def is_concave(self) -> bool:
         return True
 
@@ -140,6 +159,9 @@ class Affine(WelfareFunction):
             raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
         return _finite_above(self.a * _as_float(x) + self.b, "affine function")
 
+    def ast(self) -> Expression:
+        return _affine_tree(self, Var())
+
     def is_concave(self) -> bool:
         return True
 
@@ -167,9 +189,12 @@ class Power(WelfareFunction):
             result = math.pow(_as_float(x), self.p)
         except OverflowError:
             raise InvalidWelfareFunctionError(
-                f"power function overflowed at {x!r}"
+                f"power function overflowed at a {_sized(x)}"
             ) from None
         return _finite_above(result, "power function")
+
+    def ast(self) -> Expression:
+        return BinOp("^", Var(), Num(Fraction(self.p)))
 
     def is_concave(self) -> bool:
         return self.p <= 1
@@ -189,8 +214,11 @@ class Exp(WelfareFunction):
             return math.exp(_as_float(x))
         except OverflowError:
             raise InvalidWelfareFunctionError(
-                f"exp overflowed at {x!r}"
+                f"exp overflowed at a {_sized(x)}"
             ) from None
+
+    def ast(self) -> Expression:
+        return Call("exp", Var())
 
     def __str__(self):
         return "exp"
@@ -221,13 +249,16 @@ class CustomExpression(WelfareFunction):
         if x < 0:
             raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
         try:
-            return evaluate_expression(self.expression, x)
+            return evaluate_expression(self.expression, _as_float(x))
         except InvalidWelfareFunctionError:
             raise
         except ValueError as exc:
             raise InvalidWelfareFunctionError(
                 f"expression {self.source!r} failed at x={x!r}: {exc}"
             ) from exc
+
+    def ast(self) -> Expression:
+        return self.expression
 
     def __str__(self):
         return f"expr:{self.source}"

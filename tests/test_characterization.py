@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from fairalloc import characterization
 from fairalloc import (
     Profile,
     constancy_check,
@@ -17,7 +18,14 @@ from fairalloc import (
     maximize_welfare,
     scaled_difference,
 )
-from fairalloc.welfarist import Affine, CustomExpression, Exp, LogAffine, Power
+from fairalloc.welfarist import (
+    Affine,
+    CustomExpression,
+    Exp,
+    LogAffine,
+    Power,
+    WelfareFunction,
+)
 
 
 class TestScaledDifference:
@@ -179,11 +187,36 @@ class TestFindCounterexample:
         f = CustomExpression.from_text("3*ln(x)+2")
         assert find_ef1_counterexample(f, k_max=3) is None
 
-    def test_rejected_candidates_are_logged(self, caplog):
+    def test_log_affine_search_builds_no_candidate(self, caplog, monkeypatch):
+        scans = []
+        real = characterization.welfare_maximizers
+        monkeypatch.setattr(
+            characterization, "welfare_maximizers",
+            lambda *args, **kwargs: scans.append(args) or real(*args, **kwargs),
+        )
         with caplog.at_level(logging.WARNING, logger="fairalloc.characterization"):
             assert find_ef1_counterexample(LogAffine(), k_max=2) is None
-        # float noise produces candidates; each rejection is reported
-        assert any("skipping" in record.message for record in caplog.records)
+        # every d_k comparison is a certified tie, so nothing is scanned
+        assert scans == []
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_rejected_candidates_are_logged(self, caplog):
+        # d_k of ln(x) + x/10^12 really varies, so candidates are built, but
+        # their welfare gaps sit inside the scans' 1e-9 tie band, where an
+        # EF1 maximizer ties with the violating one
+        f = CustomExpression.from_text("ln(x)+x/10^12")
+        with caplog.at_level(logging.WARNING, logger="fairalloc.characterization"):
+            assert find_ef1_counterexample(f, k_max=1) is None
+        messages = [record.getMessage() for record in caplog.records]
+        assert any("a tied maximizer (1, 0, 1) passes" in m and "skipping" in m for m in messages)
+
+    def test_function_without_expression_tree_is_refused(self):
+        class Bare(WelfareFunction):
+            def value(self, x):
+                return float(x)
+
+        with pytest.raises(NotImplementedError, match="Bare supplies no expression tree"):
+            find_ef1_counterexample(Bare())
 
     def test_discount_bisection_descends_below_half(self):
         # for the square root, larger discounts push the gap the wrong way;

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fairalloc
 from fairalloc.cli import main
 from fairalloc.model import dumps_allocation, dumps_profile, loads_profile
 from fairalloc.model import Allocation, Profile
@@ -64,6 +69,14 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--profile", path, "--f", spec])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+        assert len(result.stderr) < 200
+
+    @pytest.mark.parametrize("spec", ["power:2", "exp"])
+    def test_f_overflowing_float_range_names_the_utility_size(self, runner, tmp_path, spec):
+        path = write_profile(tmp_path / "p.json", [[10**200, 1], [1, 2]])
+        result = runner.invoke(main, ["solve", "--profile", path, "--f", spec])
+        assert result.exit_code == 2
+        assert "overflowed at a utility with 201 digits" in result.stderr
 
 
 class TestCheck:
@@ -100,6 +113,17 @@ class TestCheck:
             main, ["check", "--profile", profile, "--allocation", str(allocation)]
         )
         assert result.exit_code == 2
+
+    def test_allocation_not_fitting_the_profile_names_its_file(self, runner, tmp_path):
+        profile = write_profile(tmp_path / "p.json", [[1, 2], [2, 1]])
+        for name, assignment in (("short.json", [0]), ("agent.json", [0, 2])):
+            allocation = tmp_path / name
+            allocation.write_text(json.dumps({"assignment": assignment}), encoding="utf-8")
+            result = runner.invoke(
+                main, ["check", "--profile", profile, "--allocation", str(allocation), "--po"]
+            )
+            assert result.exit_code == 2
+            assert result.stderr.startswith(f"error: {allocation}: ")
 
     def test_json_format(self, runner, tmp_path):
         profile = write_profile(tmp_path / "p.json", [[2, 1], [2, 1]])
@@ -161,6 +185,17 @@ class TestCounterexample:
         )
         assert result.exit_code == 1
         assert "no counterexample" in result.output
+
+    def test_log_on_default_grid_exits_1_with_empty_stderr(self):
+        # a child process, so that log records reach stderr as for a user
+        env = {**os.environ, "PYTHONPATH": str(Path(fairalloc.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "fairalloc.cli", "counterexample", "--f", "log"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "no counterexample" in done.stdout
+        assert done.stderr == ""
 
     def test_epsilon_override(self, runner):
         result = runner.invoke(
