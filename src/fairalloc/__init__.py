@@ -63,7 +63,6 @@ from .model import (
     check_allocation,
     dumps_allocation,
     dumps_profile,
-    enumerate_allocations,
     loads_allocation,
     loads_profile,
 )

@@ -7,13 +7,14 @@ in the envied bundle, the value that remains after removing it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge
+from itertools import accumulate, compress
+from operator import and_
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,
     Profile,
-    _assignments,
+    _blocks,
     _scaled_rows,
     allocation_utilities,
 )
@@ -117,11 +118,29 @@ def is_pareto_optimal(
 
     Scans every allocation; returns the first dominator in lexicographic
     assignment order, so the result does not depend on how the scan might be
-    partitioned.  The budget is checked before anything else.
+    partitioned.  The budget is checked before anything else.  A prefix is
+    skipped once some agent's total plus all it values in the goods left is
+    below its current utility: no completion of it can dominate.
     """
     rows, scale = _scaled_rows(profile, budget)
     current = [int(u * scale) for u in allocation_utilities(profile, allocation)]
-    for assignment, totals in _assignments(rows):
-        if all(map(ge, totals, current)) and totals != current:
-            return ParetoVerdict(False, Allocation(tuple(assignment)))
+    # rest[i][t] = agent i's value for goods t..m-1
+    rest = [list(accumulate(reversed(row), initial=0))[::-1] for row in rows]
+
+    def prune(depth, totals):
+        return any(t + r[depth] < c for t, r, c in zip(totals, rest, current))
+
+    suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
+    columns = [gather(values) for gather, values in zip(gathers, bundles)]
+    for prefix, totals in prefixes:
+        needs = [c - t for c, t in zip(current, totals)]
+        fits = None  # entries giving every agent at least its need
+        for need, gather, values in zip(needs, gathers, bundles):
+            if need > 0:
+                mask = gather([need <= value for value in values])
+                fits = mask if fits is None else list(map(and_, fits, mask))
+        candidates = range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits)
+        for k in candidates:
+            if any(column[k] != need for need, column in zip(needs, columns)):
+                return ParetoVerdict(False, Allocation(tuple(prefix) + suffixes[k]))
     return ParetoVerdict(True, None)

@@ -5,16 +5,20 @@ the Nash-product solver never touch floats, so strict inequalities cannot be
 flipped by rounding; floats enter only when a welfare function is applied.
 
 Every exhaustive scan in the package runs on one private kernel here: the
-profile is scaled once to integers by one common factor, and the assignments
-are walked in lexicographic order with incrementally updated bundle totals.
+profile is scaled once to integers by one common factor, the assignments of
+a prefix of the goods are walked in lexicographic order with incrementally
+updated bundle totals, and each prefix brings a precomputed block of every
+assignment of the last goods, evaluated a column at a time.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable
 
 from .errors import (
     AllocationFormatError,
@@ -25,6 +29,9 @@ from .errors import (
 
 #: Upper bound on the number of allocations an exhaustive scan may visit.
 DEFAULT_ENUMERATION_BUDGET = 10**7
+
+#: Most assignments of the last goods that the kernel hands over as one block.
+_BLOCK = 256
 
 
 def _to_utility(value, agent, good):
@@ -160,13 +167,6 @@ def allocation_count(profile: Profile) -> int:
     return profile.n**profile.m
 
 
-def _assignment_at(n: int, m: int, index: int) -> tuple[int, ...]:
-    digits = [0] * m
-    for pos in range(m - 1, -1, -1):
-        index, digits[pos] = divmod(index, n)
-    return tuple(digits)
-
-
 def _scaled_rows(profile: Profile, budget: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The utility rows times ``L``, the lcm of every denominator, as ints; and ``L``.
 
@@ -224,36 +224,47 @@ def _assignments(rows, prune=None):
                 good += 1
 
 
-def enumerate_allocations(
-    profile: Profile,
-    *,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[Allocation]:
-    """Yield every allocation exactly once, in lexicographic assignment order.
+@lru_cache(maxsize=64)
+def _suffix_table(n: int, s: int):
+    """Every assignment of ``s`` goods to ``n`` agents in lexicographic order,
+    and per agent a getter of its bundle in each, out of the ``2**s`` subsets
+    of the goods (bit ``s - 1 - j`` set when the bundle holds good ``j``)."""
+    suffixes = tuple(product(range(n), repeat=s))
+    gathers = []
+    for agent in range(n):
+        index = [0]
+        for _ in range(s):
+            index = [2 * bundle + (owner == agent) for bundle in index for owner in range(n)]
+        # itemgetter of one index returns the item itself, not a 1-tuple
+        gathers.append(itemgetter(*index) if len(index) > 1 else lambda values, i=index[0]: (values[i],))
+    return suffixes, tuple(gathers)
 
-    The order is fixed: good 0 is the most significant position, agents are
-    tried in increasing index.  ``start``/``stop`` select a half-open index
-    range so the scan can be partitioned; concatenating adjacent ranges
-    reproduces the full enumeration.
 
-    Raises :class:`EnumerationBudgetError` before yielding anything if the
-    total count exceeds ``budget``.
+def _blocks(rows, prune=None):
+    """The kernel's walk, as ``(suffixes, gathers, bundles, prefixes)``.
+
+    The last ``s`` goods, ``s`` the largest count with ``n**s <= _BLOCK``
+    (0 for one agent, who has one bundle per allocation), form the suffix.  ``prefixes`` is :func:`_assignments`
+    over the other goods; each ``(prefix, totals)`` stands for the block
+    ``prefix + suffixes[k]``, in order, where agent ``i``'s total is
+    ``totals[i] + gathers[i](bundles[i])[k]`` and ``bundles[i]`` is its value
+    for each subset of the suffix.  So a consumer evaluates the ``2**s``
+    bundles (each some agent's in some entry) and gathers, not ``n**s`` entries.
     """
-    total = allocation_count(profile)
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"invalid enumeration range [{start}, {stop}) of {total}")
-    if start == 0 and stop == total:
-        for assignment in product(range(profile.n), repeat=profile.m):
-            yield Allocation(assignment)
-    else:
-        for index in range(start, stop):
-            yield Allocation(_assignment_at(profile.n, profile.m, index))
+    n, m = len(rows), len(rows[0])
+    s = 0
+    while s < m and n > 1 and n ** (s + 1) <= _BLOCK:
+        s += 1
+    split = m - s
+    bundles = []
+    for row in rows:
+        sums = [0]
+        for value in row[split:]:
+            sums = [total + gain for total in sums for gain in (0, value)]
+        bundles.append(sums)
+    suffixes, gathers = _suffix_table(n, s)
+    prefix_rows = tuple(row[:split] for row in rows)
+    return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,19 @@ compares exact rational products instead of float log sums, so its argmax is
 immune to rounding.  Every solver breaks ties by the lexicographically
 smallest assignment vector.
 
-All solvers walk the shared integer kernel of :mod:`fairalloc.model` and
-differ only in their leaf key; the welfare scans memoize ``f(t / L)`` per
-integer total ``t``, and branch-and-bound adds a pruning hook to the walk.
+All solvers walk the shared integer kernel of :mod:`fairalloc.model`, a
+prefix walk that hands over the allocations of the last goods as one block
+per prefix, and differ only in the key they build a column at a time; the
+welfare scans memoize ``f(t / L)`` per integer total ``t``, and
+branch-and-bound adds a pruning hook to the prefix walk.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, total_ordering
-from itertools import accumulate
+from functools import total_ordering
+from itertools import accumulate, compress, repeat
+from operator import add, le, mul
 
 from .errors import InvalidWelfareFunctionError
 from .funcparse import (
@@ -33,7 +36,7 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,
     Profile,
-    _assignments,
+    _blocks,
     _scaled_rows,
     allocation_utilities,
 )
@@ -345,9 +348,14 @@ class ExtendedWelfare:
 def allocation_welfare(
     profile: Profile, allocation: Allocation, f: WelfareFunction
 ) -> ExtendedWelfare:
-    """Sum of ``f`` over the agents' bundle utilities, -inf terms counted apart."""
-    neg_inf, finite = _welfare_key(f.value, allocation_utilities(profile, allocation))
-    return ExtendedWelfare(-neg_inf, finite)
+    """Sum of ``f`` over the agents' bundle utilities, -inf terms counted
+    apart, the finite ones summed in agent order."""
+    terms = [f.value(u) for u in allocation_utilities(profile, allocation)]
+    finite = 0.0
+    for term in terms:
+        if term != NEG_INF:
+            finite += term
+    return ExtendedWelfare(terms.count(NEG_INF), finite)
 
 
 @dataclass(frozen=True)
@@ -360,28 +368,13 @@ class SolveResult:
     maximum itself is found by strict comparison.
 
     Every solver finds it in one walk of the shared integer kernel in
-    :mod:`fairalloc.model`; ``welfare`` is built once, for the winner, as the
-    same float sum, in agent order, as :func:`allocation_welfare`.
+    :mod:`fairalloc.model`, a block of allocations at a time; ``welfare`` is
+    the same float sum, in agent order, as :func:`allocation_welfare`.
     """
 
     allocation: Allocation
     welfare: ExtendedWelfare
     maximizer_set_size: int
-
-
-def _welfare_key(term, totals):
-    """``(-(number of -inf terms), sum of the finite terms)`` of ``term(t)``
-    over ``totals``, summed in agent order: the leaf key of the welfare scans
-    and the value of :func:`allocation_welfare`."""
-    neg_inf = 0
-    finite = 0.0
-    for total in totals:
-        value = term(total)
-        if value == NEG_INF:
-            neg_inf -= 1
-        else:
-            finite += value
-    return neg_inf, finite
 
 
 class _Terms(dict):
@@ -423,39 +416,60 @@ class _TieTracker:
     def _in_band(self, key):
         return key[0] == self.best[0] and key[1] >= self.floor
 
-    def offer(self, assignment, key):
+    def offer_block(self, prefix, suffixes, primary, secondaries, counts=None):
+        """Offer ``prefix + suffixes[k]`` under the key ``(primary - counts[k],
+        secondaries[k])`` for every ``k`` in order (no ``counts``: all 0)."""
+        if counts is not None:
+            least = min(counts)
+            keep = [count == least for count in counts]
+            suffixes = list(compress(suffixes, keep))
+            secondaries = list(compress(secondaries, keep))
+            primary -= least
+        top = max(secondaries)
         best = self.best
-        if best is None or key > best:
-            self.best = best = key
-            self.floor = key[1] - self.tolerance
-            self.assignment = tuple(assignment)
+        if best is not None and (primary, top) < (best[0], self.floor):
+            return
+        prefix = tuple(prefix)
+        if best is None or (primary, top) > best:
+            self.best = (primary, top)
+            self.floor = top - self.tolerance
+            self.assignment = prefix + suffixes[secondaries.index(top)]
             self.near = {k: count for k, count in self.near.items() if self._in_band(k)}
             if self.members is not None:
                 self.members = [m for m in self.members if self._in_band(m[0])]
-        if key[0] == best[0] and key[1] >= self.floor:  # _in_band, inlined: runs per allocation
+        for k in compress(range(len(secondaries)), map(le, repeat(self.floor), secondaries)):
+            key = (primary, secondaries[k])
             self.near[key] = self.near.get(key, 0) + 1
             if self.members is not None:
-                self.members.append((key, tuple(assignment)))
-
-    def scan(self, rows, key, prune=None):
-        """Offer every allocation of the kernel's walk under ``key(totals)``."""
-        offer = self.offer
-        for assignment, totals in _assignments(rows, prune):
-            offer(assignment, key(totals))
-        return Allocation(self.assignment), sum(self.near.values())
+                self.members.append((key, prefix + suffixes[k]))
 
 
-def _nash_key(totals):
-    """Leaf key of the Nash solver: agents with positive utility, then the
-    product of their totals.  One common scale ``L`` multiplies every product
-    with ``k`` factors by ``L**k``, so equal counts compare exactly."""
-    positive = 0
-    product = 1
-    for total in totals:
-        if total:
-            positive += 1
-            product *= total
-    return positive, product
+def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, prune=None):
+    """Offer every allocation of the kernel's walk to ``tracker`` under the
+    key ``(primary - number of agents whose term is excluded, the others'
+    terms combined in agent order)``, with an agent's terms computed once per
+    bundle of the last goods and gathered into a column per block."""
+    suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
+    for prefix, totals in prefixes:
+        counts = keys = None
+        try:
+            for total, gather, values in zip(totals, gathers, bundles):
+                values = [term(total + value) for value in values]
+                if excluded in values:
+                    flags = [value == excluded for value in values]
+                    counts = gather(flags) if counts is None else list(map(add, counts, gather(flags)))
+                    values = [neutral if flag else value for flag, value in zip(flags, values)]
+                column = gather(values)
+                keys = column if keys is None else list(map(combine, keys, column))
+        except Exception:
+            # term failed at some total of this block: raise the error that
+            # an allocation-by-allocation scan meets first
+            columns = [gather(values) for gather, values in zip(gathers, bundles)]
+            for k in range(len(suffixes)):
+                for total, column in zip(totals, columns):
+                    term(total + column[k])
+            raise
+        tracker.offer_block(prefix, suffixes, primary, keys, counts)
 
 
 def _concavity_prune(rows, terms, tracker):
@@ -503,14 +517,19 @@ def _concavity_prune(rows, terms, tracker):
 
 def _scan_welfare(profile, f, budget, keep_members=False, bounded=False):
     """The welfare scan behind :func:`maximize_welfare` (both methods) and
-    :func:`welfare_maximizers`; ``bounded`` prunes with the concavity bound."""
+    :func:`welfare_maximizers`; ``bounded`` prunes with the concavity bound.
+    Adding 0.0 for a -inf term and starting from the first term rather than
+    from 0.0 can only turn 0.0 into -0.0, which ``+ 0.0`` undoes."""
     rows, scale = _scaled_rows(profile, budget)
     terms = _Terms(f, scale)
     tracker = _TieTracker(TIE_TOLERANCE, keep_members)
     prune = _concavity_prune(rows, terms, tracker) if bounded else None
-    allocation, ties = tracker.scan(rows, partial(_welfare_key, terms.__getitem__), prune)
+    _scan_blocks(rows, tracker, term=terms.__getitem__, excluded=NEG_INF, neutral=0.0,
+                 combine=add, primary=0, prune=prune)
     neg_inf, finite = tracker.best
-    return SolveResult(allocation, ExtendedWelfare(-neg_inf, finite), ties), tracker.members
+    result = SolveResult(Allocation(tracker.assignment), ExtendedWelfare(-neg_inf, finite + 0.0),
+                         sum(tracker.near.values()))
+    return result, tracker.members
 
 
 def maximize_welfare(
@@ -549,10 +568,17 @@ def welfare_maximizers(
 
 
 def _nash_maximum(profile, f, budget):
-    """The exact Nash scan, with the winner's welfare reported under ``f``."""
+    """The exact Nash scan, with the winner's welfare reported under ``f``.
+
+    The key is the number of agents with positive utility, then the product
+    of their totals; one common scale ``L`` multiplies every product with
+    ``k`` factors by ``L**k``, so equal counts compare exactly.
+    """
     rows, _ = _scaled_rows(profile, budget)
-    allocation, ties = _TieTracker(0).scan(rows, _nash_key)
-    return SolveResult(allocation, allocation_welfare(profile, allocation, f), ties)
+    tracker = _TieTracker(0)
+    _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
+    allocation = Allocation(tracker.assignment)
+    return SolveResult(allocation, allocation_welfare(profile, allocation, f), sum(tracker.near.values()))
 
 
 def max_nash_welfare(

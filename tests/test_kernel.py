@@ -1,12 +1,15 @@
 """The shared enumeration kernel, checked against the brute-force oracles.
 
 Every exact scan (the welfare solvers, branch-and-bound, the Nash solver and
-the Pareto check) walks the allocations through one integer-scaled kernel.
-These tests feed it rational profiles whose rows have different
+the Pareto check) walks the allocations through one integer-scaled kernel,
+which walks a prefix of the goods and hands the rest over as one block per
+prefix.  These tests feed it rational profiles whose rows have different
 denominators, with zeros that leave some agent at utility 0, and compare
-each consumer with the definitions in ``oracles``.
+each consumer with the definitions in ``oracles``, which go through the
+allocations one at a time; the block tests do so at several block sizes.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -25,10 +28,12 @@ from fairalloc import (
     maximize_welfare,
 )
 from fairalloc.model import _assignments, _scaled_rows
-from fairalloc import welfarist
+from fairalloc import model, welfarist
 from fairalloc.welfarist import (
     TIE_TOLERANCE,
     Affine,
+    CustomExpression,
+    Exp,
     ExtendedWelfare,
     LogAffine,
     Power,
@@ -205,3 +210,92 @@ class TestTermMemo:
         with mock.patch.object(welfarist, "_TERMS_CAP", 2):
             assert [maximize_welfare(profile, f, method=m) for m in ("exhaustive", "branch-and-bound")] == expected
             assert welfare_maximizers(profile, f) == expected_band
+
+
+@st.composite
+def block_profiles(draw):
+    """Shapes on both sides of one 256-allocation block; small integers,
+    rationals with mixed denominators, or integers up to 2**60, with zeros."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, {1: 9, 2: 9, 3: 6, 4: 4}[n]))
+    entries = draw(st.sampled_from((
+        st.integers(0, 9),
+        st.builds(Fraction, st.integers(0, 9), st.sampled_from((1, 2, 3, 5, 7, 12))),
+        st.one_of(st.just(0), st.integers(1, 2**60), st.sampled_from((2**53, 2**53 + 1, 2**60))),
+    )))
+    return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
+
+
+BLOCK_FUNCTIONS = (
+    LogAffine(), Affine(1, 0), Power(0.5), Power(2), Exp(),
+    CustomExpression.from_text("ln(x+1)"), CustomExpression.from_text("ln(x)"),
+)
+
+
+def outcome(call):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the error is the answer under comparison
+        return type(exc), str(exc)
+
+
+def leaf_order_welfare(profile, f):
+    """First maximizer, -inf count, float welfare bits, tie count and band
+    members, one allocation at a time in lexicographic order."""
+    table = oracles.welfare_table(profile, f.value)
+    assignment, neg, finite = oracles.best_welfare(profile, f.value)
+    band = [a for a, k, v in table if k == neg and v >= finite - TIE_TOLERANCE]
+    return assignment, neg, finite.hex(), len(band), band
+
+
+def block_welfare(profile, f):
+    result = maximize_welfare(profile, f)
+    same, members = welfare_maximizers(profile, f)
+    assert same == result
+    welfare = result.welfare
+    return (result.allocation.assignment, welfare.neg_inf_count, welfare.finite_part.hex(),
+            result.maximizer_set_size, [a.assignment for a in members])
+
+
+def block_sizes(profile):
+    return sorted({1, 2, profile.n, 256})
+
+
+class TestBlocks:
+    @given(block_profiles(), st.sampled_from(BLOCK_FUNCTIONS))
+    @example(Profile([[]]), LogAffine())
+    @example(Profile([[0], [0], [0]]), CustomExpression.from_text("ln(x)"))
+    @example(Profile([[0, 0, 0, 0, 0], [1, 2, 0, 3, 1], [2, 2, 2, 2, 2]]), CustomExpression.from_text("ln(x)"))
+    @example(Profile([[1] * 8, [2] * 8]), Power(0.5))  # 256: one block
+    @example(Profile([[1] * 9, [2] * 9]), Power(0.5))  # 512: two blocks
+    @example(Profile([[0, 1, 0, 2, 0, 3], [1, 0, 2, 0, 3, 0], [0, 0, 0, 0, 0, 9]]),
+             CustomExpression.from_text("ln(x)"))  # 729: three blocks
+    @example(Profile([[10**5, 0, 800], [1, 1, 1]]), Exp())  # 800 overflows first bundle by bundle
+    @example(Profile([[1, 0], [0, 1]]), CustomExpression.from_text("-(1-x)"))  # f(1) = -0.0; best sum 0.0
+    @settings(max_examples=150, deadline=None)
+    def test_welfare_scans_match_the_leaf_order_at_every_block_size(self, profile, f):
+        expected = outcome(lambda: leaf_order_welfare(profile, f))
+        for size in block_sizes(profile):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert outcome(lambda: block_welfare(profile, f)) == expected
+
+    @given(block_profiles(), st.randoms(use_true_random=False))
+    @example(Profile([[]]), random.Random(0))
+    @example(Profile([[1] * 9, [2] * 9]), random.Random(0))
+    @settings(max_examples=100, deadline=None)
+    def test_nash_and_pareto_match_the_leaf_order_at_every_block_size(self, profile, rng):
+        allocation = Allocation(tuple(rng.randrange(profile.n) for _ in range(profile.m)))
+        for size in block_sizes(profile):
+            with mock.patch.object(model, "_BLOCK", size):
+                check_nash(profile)
+                check_pareto(profile, allocation)
+                check_pareto(profile, max_nash_welfare(profile).allocation)
+
+    @given(rational_profiles(max_goods=6), st.sampled_from(WELFARE_FUNCTIONS))
+    @settings(max_examples=60, deadline=None)
+    def test_branch_and_bound_matches_the_scan_at_every_block_size(self, profile, f):
+        expected = maximize_welfare(profile, f)
+        for size in block_sizes(profile):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert maximize_welfare(profile, f, method="branch-and-bound") == expected

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,13 @@ from fairalloc import (
     ProfileFormatError,
     allocation_count,
     dumps_profile,
-    enumerate_allocations,
     loads_allocation,
     loads_profile,
     dumps_allocation,
 )
+from fairalloc import model
 from fairalloc.errors import AllocationFormatError
+from fairalloc.model import DEFAULT_ENUMERATION_BUDGET, _blocks, _scaled_rows
 
 
 rationals = st.fractions(
@@ -92,17 +94,24 @@ class TestBundleUtility:
             ) + profile.bundle_utility(agent, second)
 
 
+def walk(profile, budget=DEFAULT_ENUMERATION_BUDGET):
+    """Every assignment the kernel visits, block by block, in its order."""
+    rows, _ = _scaled_rows(profile, budget)
+    suffixes, _, _, prefixes = _blocks(rows)
+    return [tuple(prefix) + suffix for prefix, _ in prefixes for suffix in suffixes]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,m,count", [(2, 2, 4), (3, 2, 9), (2, 0, 1)])
     def test_counts(self, n, m, count):
         profile = Profile([[1] * m for _ in range(n)])
-        assert len(list(enumerate_allocations(profile))) == count
+        assert len(walk(profile)) == count
 
     def test_exhaustive_distinct_and_ordered(self):
         for n in (1, 2, 3):
             for m in range(0, 9):
                 profile = Profile([[0] * m for _ in range(n)])
-                seen = [a.assignment for a in enumerate_allocations(profile)]
+                seen = walk(profile)
                 assert len(seen) == n**m == len(set(seen))
                 assert seen == sorted(seen)
                 assert seen == list(product(range(n), repeat=m))
@@ -110,23 +119,28 @@ class TestEnumeration:
     def test_budget_exceeded_names_count(self):
         profile = Profile([[0] * 30, [0] * 30])
         with pytest.raises(EnumerationBudgetError) as excinfo:
-            next(enumerate_allocations(profile))
+            walk(profile)
         assert excinfo.value.count == 2**30
         assert str(2**30) in str(excinfo.value)
 
     def test_budget_override(self):
         profile = Profile([[0, 0, 0], [0, 0, 0]])
         with pytest.raises(EnumerationBudgetError):
-            next(enumerate_allocations(profile, budget=7))
-        assert len(list(enumerate_allocations(profile, budget=8))) == 8
+            walk(profile, budget=7)
+        assert len(walk(profile, budget=8)) == 8
 
     def test_partition_by_index_range(self):
+        """Each block is one index range of the full order, whatever its size."""
         profile = Profile([[0] * 4, [0] * 4, [0] * 4])
-        full = [a.assignment for a in enumerate_allocations(profile)]
-        for cut in (0, 1, 40, 81):
-            head = [a.assignment for a in enumerate_allocations(profile, stop=cut)]
-            tail = [a.assignment for a in enumerate_allocations(profile, start=cut)]
-            assert head + tail == full
+        full = list(product(range(3), repeat=4))
+        for block in (1, 3, 9, 27, 81, 256):
+            with mock.patch.object(model, "_BLOCK", block):
+                rows, _ = _scaled_rows(profile, 81)
+                suffixes, _, _, prefixes = _blocks(rows)
+                size = len(suffixes)
+                assert size == min(block, 81)
+                for index, (prefix, _) in enumerate(prefixes):
+                    assert [tuple(prefix) + suffix for suffix in suffixes] == full[index * size:(index + 1) * size]
 
     def test_allocation_count(self):
         assert allocation_count(Profile([[1, 1], [1, 1], [1, 1]])) == 9
