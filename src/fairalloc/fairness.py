@@ -1,8 +1,9 @@
 """Envy-freeness, EF1, and Pareto-optimality checks with auditable witnesses.
 
-All comparisons are exact rational arithmetic.  Verdicts carry enough data to
-re-check the decision by hand: an EF1 violation lists, for every single good
-in the envied bundle, the value that remains after removing it.
+All comparisons are exact integers on the profile's one common scale; only
+the values a verdict reports become ``Fraction``s.  Verdicts carry enough data
+to re-check the decision by hand: an EF1 violation lists, for every single
+good in the envied bundle, the value that remains after removing it.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ from .model import (
     Profile,
     _blocks,
     _scaled_rows,
-    allocation_utilities,
+    _totals,
+    check_allocation,
 )
 
 
@@ -66,20 +68,25 @@ class ParetoVerdict:
     dominator: Allocation | None = None
 
 
+def _valuations(profile, allocation):
+    """Scaled rows and scale, each agent's sorted goods, and ``values[i][j]``: ``i``'s total for ``j``'s bundle."""
+    check_allocation(profile, allocation)
+    rows, scale = profile._scaled
+    goods = [sorted(bundle) for bundle in allocation.bundles(len(rows))]
+    values = [[sum(map(row.__getitem__, bundle)) for bundle in goods] for row in rows]
+    return rows, scale, goods, values
+
+
 def is_ef(profile: Profile, allocation: Allocation) -> EfVerdict:
     """Envy-freeness: every agent weakly prefers their own bundle to every other."""
-    own = allocation_utilities(profile, allocation)
-    bundles = allocation.bundles(profile.n)
-    violations = []
-    for i in range(profile.n):
-        row = profile.utilities[i]
-        for j in range(profile.n):
-            if i == j:
-                continue
-            envied_value = sum((row[g] for g in bundles[j]), Fraction(0))
-            if own[i] < envied_value:
-                violations.append(EnvyWitness(i, j, own[i], envied_value))
-    return EfVerdict(not violations, tuple(violations))
+    _, scale, _, values = _valuations(profile, allocation)
+    violations = tuple(
+        EnvyWitness(i, j, Fraction(value[i], scale), Fraction(envied, scale))
+        for i, value in enumerate(values)
+        for j, envied in enumerate(value)
+        if value[i] < envied
+    )
+    return EfVerdict(not violations, violations)
 
 
 def is_ef1(profile: Profile, allocation: Allocation) -> Ef1Verdict:
@@ -91,20 +98,15 @@ def is_ef1(profile: Profile, allocation: Allocation) -> Ef1Verdict:
     which keeps the removal step well-defined (with nonnegative utilities an
     empty bundle cannot be envied anyway).
     """
-    own = allocation_utilities(profile, allocation)
-    bundles = allocation.bundles(profile.n)
+    rows, scale, goods, values = _valuations(profile, allocation)
     violations = []
-    for i in range(profile.n):
-        row = profile.utilities[i]
-        for j in range(profile.n):
-            if i == j or not bundles[j]:
+    for i, (row, value) in enumerate(zip(rows, values)):
+        own = value[i]
+        for j, bundle in enumerate(goods):
+            if i == j or not bundle or own >= value[j] - max(map(row.__getitem__, bundle)):
                 continue
-            envied_value = sum((row[g] for g in bundles[j]), Fraction(0))
-            best_removal = max(row[g] for g in bundles[j])
-            if own[i] >= envied_value - best_removal:
-                continue
-            gaps = tuple((g, envied_value - row[g]) for g in sorted(bundles[j]))
-            violations.append(Ef1Violation(i, j, own[i], gaps))
+            gaps = tuple((g, Fraction(value[j] - row[g], scale)) for g in bundle)
+            violations.append(Ef1Violation(i, j, Fraction(own, scale), gaps))
     return Ef1Verdict(not violations, tuple(violations))
 
 
@@ -122,8 +124,8 @@ def is_pareto_optimal(
     skipped once some agent's total plus all it values in the goods left is
     below its current utility: no completion of it can dominate.
     """
-    rows, scale = _scaled_rows(profile, budget)
-    current = [int(u * scale) for u in allocation_utilities(profile, allocation)]
+    rows, _ = _scaled_rows(profile, budget)
+    current = _totals(profile, allocation)
     # rest[i][t] = agent i's value for goods t..m-1
     rest = [list(accumulate(reversed(row), initial=0))[::-1] for row in rows]
 
@@ -131,7 +133,7 @@ def is_pareto_optimal(
         return any(t + r[depth] < c for t, r, c in zip(totals, rest, current))
 
     suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
-    columns = [gather(values) for gather, values in zip(gathers, bundles)]
+    split = profile.m - len(suffixes[0])
     for prefix, totals in prefixes:
         needs = [c - t for c, t in zip(current, totals)]
         fits = None  # entries giving every agent at least its need
@@ -141,6 +143,7 @@ def is_pareto_optimal(
                 fits = mask if fits is None else list(map(and_, fits, mask))
         candidates = range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits)
         for k in candidates:
-            if any(column[k] != need for need, column in zip(needs, columns)):
+            # a candidate meets every need: it dominates iff it exceeds one
+            if sum(rows[agent][split + j] for j, agent in enumerate(suffixes[k])) > sum(needs):
                 return ParetoVerdict(False, Allocation(tuple(prefix) + suffixes[k]))
     return ParetoVerdict(True, None)

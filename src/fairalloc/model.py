@@ -1,24 +1,25 @@
 """Profiles, allocations, and exhaustive allocation enumeration.
 
-Utilities are exact rationals (`fractions.Fraction`).  Fairness checks and
-the Nash-product solver never touch floats, so strict inequalities cannot be
-flipped by rounding; floats enter only when a welfare function is applied.
+Utilities are exact rationals (`fractions.Fraction`), read by every exact
+path as integers on one common scale that the profile computes once.  Fairness
+checks and the Nash-product solver compare exact integer totals, so strict
+inequalities cannot be flipped by rounding; floats enter only when a welfare
+function is applied.
 
 Every exhaustive scan in the package runs on one private kernel here: the
-profile is scaled once to integers by one common factor, the assignments of
-a prefix of the goods are walked in lexicographic order with incrementally
-updated bundle totals, and each prefix brings a precomputed block of every
-assignment of the last goods, evaluated a column at a time.
+assignments of a prefix of the goods are walked in lexicographic order with
+incrementally updated integer bundle totals, and each prefix brings a
+precomputed block of every assignment of the last goods, evaluated a column
+at a time.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
-from typing import Iterable
 
 from .errors import (
     AllocationFormatError,
@@ -35,6 +36,8 @@ _BLOCK = 256
 
 
 def _to_utility(value, agent, good):
+    if type(value) is int and value >= 0:
+        return Fraction(value)
     if isinstance(value, bool):
         raise ValueError(f"bad utility for agent {agent}, good {good}: {value!r}")
     try:
@@ -87,27 +90,17 @@ class Profile:
         """Number of goods."""
         return len(self.utilities[0])
 
-    def utility(self, agent: int, good: int) -> Fraction:
-        if not 0 <= agent < self.n:
-            raise IndexError(f"agent index {agent} out of range [0, {self.n})")
-        if not 0 <= good < self.m:
-            raise IndexError(f"good index {good} out of range [0, {self.m})")
-        return self.utilities[agent][good]
+    @cached_property
+    def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The rows times ``L``, the lcm of every denominator, as ints; and ``L``.
+        One factor for all rows keeps sums, comparisons and products of positive
+        totals in the order of the rationals, across agents too.  Computed on
+        first use; no part of equality, hash, repr or pickling."""
+        scale = math.lcm(*[value.denominator for row in self.utilities for value in row])
+        return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in self.utilities), scale
 
-    def bundle_utility(self, agent: int, goods: Iterable[int]) -> Fraction:
-        """Exact value agent ``agent`` assigns to a set of goods.
-
-        Duplicate indices collapse: a bundle is a set.
-        """
-        if not 0 <= agent < self.n:
-            raise IndexError(f"agent index {agent} out of range [0, {self.n})")
-        row = self.utilities[agent]
-        total = Fraction(0)
-        for good in set(goods):
-            if not 0 <= good < self.m:
-                raise IndexError(f"good index {good} out of range [0, {self.m})")
-            total += row[good]
-        return total
+    def __getstate__(self):
+        return {"utilities": self.utilities}
 
 
 @dataclass(frozen=True)
@@ -153,13 +146,19 @@ def check_allocation(profile: Profile, allocation: Allocation) -> None:
             )
 
 
+def _totals(profile: Profile, allocation: Allocation) -> list[int]:
+    """Each agent's total for their own bundle, on the profile's common scale."""
+    check_allocation(profile, allocation)
+    rows, _ = profile._scaled
+    totals = [0] * profile.n
+    for good, agent in enumerate(allocation.assignment):
+        totals[agent] += rows[agent][good]
+    return totals
+
+
 def allocation_utilities(profile: Profile, allocation: Allocation) -> tuple[Fraction, ...]:
     """Each agent's exact utility for their own bundle."""
-    check_allocation(profile, allocation)
-    totals = [Fraction(0)] * profile.n
-    for good, agent in enumerate(allocation.assignment):
-        totals[agent] += profile.utilities[agent][good]
-    return tuple(totals)
+    return tuple(Fraction(total, profile._scaled[1]) for total in _totals(profile, allocation))
 
 
 def allocation_count(profile: Profile) -> int:
@@ -168,24 +167,11 @@ def allocation_count(profile: Profile) -> int:
 
 
 def _scaled_rows(profile: Profile, budget: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The utility rows times ``L``, the lcm of every denominator, as ints; and ``L``.
-
-    One factor for all rows keeps sums, comparisons and products of positive
-    totals in the same order as the rationals, across agents too.  Raises
-    :class:`EnumerationBudgetError` first if the scan would exceed ``budget``.
-    """
+    """``profile._scaled``; raises :class:`EnumerationBudgetError` first if the scan would exceed ``budget``."""
     total = allocation_count(profile)
     if total > budget:
         raise EnumerationBudgetError(total, budget)
-    scale = 1
-    for row in profile.utilities:
-        for value in row:
-            scale = math.lcm(scale, value.denominator)
-    rows = tuple(
-        tuple(value.numerator * (scale // value.denominator) for value in row)
-        for row in profile.utilities
-    )
-    return rows, scale
+    return profile._scaled
 
 
 def _assignments(rows, prune=None):

@@ -10,11 +10,12 @@ smallest assignment vector.
 All solvers walk the shared integer kernel of :mod:`fairalloc.model`, a
 prefix walk that hands over the allocations of the last goods as one block
 per prefix, and differ only in the key they build a column at a time; the
-welfare scans memoize ``f(t / L)`` per integer total ``t``, and
-branch-and-bound adds a pruning hook to the prefix walk.
+welfare scans memoize ``f(t / L)`` per integer total ``t`` across calls,
+and branch-and-bound adds a pruning hook to the prefix walk.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -38,7 +39,7 @@ from .model import (
     Profile,
     _blocks,
     _scaled_rows,
-    allocation_utilities,
+    _totals,
 )
 
 NEG_INF = float("-inf")
@@ -50,8 +51,10 @@ TIE_TOLERANCE = 1e-9
 #: Grid on which custom expressions are validated to be strictly increasing.
 INCREASING_VALIDATION_GRID = tuple(i / 10 for i in range(1, 101))
 
-#: Most distinct bundle totals whose welfare terms one scan keeps.
+#: Most distinct bundle totals whose welfare terms one memo keeps.
 _TERMS_CAP = 1 << 12
+#: Most (function, scale) pairs whose memos are kept across calls.
+_MEMO_COUNT = 8
 
 
 def _format_param(value: float) -> str:
@@ -350,7 +353,8 @@ def allocation_welfare(
 ) -> ExtendedWelfare:
     """Sum of ``f`` over the agents' bundle utilities, -inf terms counted
     apart, the finite ones summed in agent order."""
-    terms = [f.value(u) for u in allocation_utilities(profile, allocation)]
+    memo = _terms(f, profile._scaled[1])
+    terms = [memo[total] for total in _totals(profile, allocation)]
     finite = 0.0
     for term in terms:
         if term != NEG_INF:
@@ -367,9 +371,9 @@ class SolveResult:
     the maximum finite part (with the same number of -inf terms), while the
     maximum itself is found by strict comparison.
 
-    Every solver finds it in one walk of the shared integer kernel in
-    :mod:`fairalloc.model`, a block of allocations at a time; ``welfare`` is
-    the same float sum, in agent order, as :func:`allocation_welfare`.
+    Every solver finds it in one walk of the shared integer kernel over the
+    profile's cached integer rows, with ``f``'s memo kept across calls; the
+    ``welfare`` is the same float sum, in agent order, as :func:`allocation_welfare`.
     """
 
     allocation: Allocation
@@ -379,11 +383,11 @@ class SolveResult:
 
 class _Terms(dict):
     """``f(t / scale)`` for integer bundle totals ``t``, memoized up to
-    :data:`_TERMS_CAP` distinct totals.
+    :data:`_TERMS_CAP` distinct totals (not those where ``f`` raises).
 
-    Small integer utilities repeat their totals, so ``f`` runs once per
-    total; with generic utilities nearly every subset sum is distinct, and
-    the cap keeps the memo's memory fixed.
+    Small integer utilities repeat their totals across calls with the same
+    ``f`` object, so ``f`` runs once per total; with generic utilities nearly
+    every subset sum is distinct, and the cap keeps the memo's memory fixed.
     """
 
     def __init__(self, f, scale):
@@ -396,6 +400,23 @@ class _Terms(dict):
         if len(self) < _TERMS_CAP:
             self[total] = term
         return term
+
+
+_memos = OrderedDict()  # (id(f), scale) -> _Terms, least recently used first
+
+
+def _terms(f, scale):
+    """The memo of ``f`` at ``scale``, kept for the last :data:`_MEMO_COUNT`
+    pairs used.  It is keyed by the identity of ``f`` and holds ``f``, so the
+    identity is not reused while it lives, and ``f`` need not be hashable."""
+    key = (id(f), scale)
+    terms = _memos.pop(key, None)
+    if terms is None:
+        terms = _Terms(f, scale)
+        if len(_memos) >= _MEMO_COUNT:
+            _memos.popitem(last=False)
+    _memos[key] = terms
+    return terms
 
 
 class _TieTracker:
@@ -521,7 +542,7 @@ def _scan_welfare(profile, f, budget, keep_members=False, bounded=False):
     Adding 0.0 for a -inf term and starting from the first term rather than
     from 0.0 can only turn 0.0 into -0.0, which ``+ 0.0`` undoes."""
     rows, scale = _scaled_rows(profile, budget)
-    terms = _Terms(f, scale)
+    terms = _terms(f, scale)
     tracker = _TieTracker(TIE_TOLERANCE, keep_members)
     prune = _concavity_prune(rows, terms, tracker) if bounded else None
     _scan_blocks(rows, tracker, term=terms.__getitem__, excluded=NEG_INF, neutral=0.0,
@@ -567,20 +588,6 @@ def welfare_maximizers(
     return result, tuple(Allocation(assignment) for _, assignment in members)
 
 
-def _nash_maximum(profile, f, budget):
-    """The exact Nash scan, with the winner's welfare reported under ``f``.
-
-    The key is the number of agents with positive utility, then the product
-    of their totals; one common scale ``L`` multiplies every product with
-    ``k`` factors by ``L**k``, so equal counts compare exactly.
-    """
-    rows, _ = _scaled_rows(profile, budget)
-    tracker = _TieTracker(0)
-    _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
-    allocation = Allocation(tracker.assignment)
-    return SolveResult(allocation, allocation_welfare(profile, allocation, f), sum(tracker.near.values()))
-
-
 def max_nash_welfare(
     profile: Profile, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> SolveResult:
@@ -588,16 +595,16 @@ def max_nash_welfare(
 
     First maximizes the number of agents with positive utility; among those
     allocations, maximizes the exact product of the positive utilities,
-    compared as integers on the kernel's common scale.  No logs, no floats,
-    so strict comparisons cannot be flipped by rounding.  Ties break to the
-    lexicographically smallest assignment vector, and ``maximizer_set_size``
-    is the exact count of optima.
+    compared as integers on the kernel's common scale ``L`` (which multiplies
+    every product of ``k`` totals by ``L**k``).  No logs, no floats, so strict
+    comparisons cannot be flipped by rounding.  Ties break to the
+    lexicographically smallest assignment, and ``maximizer_set_size`` counts the optima exactly.
 
     The reported welfare is the log-welfare of the winner (zero-utility
     agents contribute -inf terms), matching ``maximize_welfare`` with the
     plain logarithm.
     """
-    return _nash_maximum(profile, LogAffine(), budget)
+    return solve(profile, LogAffine(), budget=budget)
 
 
 def solve(
@@ -607,10 +614,14 @@ def solve(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SolveResult:
     """Run the welfarist rule for ``f``, routing log-affine specs to the
-    exact Nash solver (same rule, sturdier arithmetic).
+    exact Nash scan of :func:`max_nash_welfare` (same rule, sturdier arithmetic).
 
     The reported welfare is always under ``f`` itself.
     """
-    if isinstance(f, LogAffine):
-        return _nash_maximum(profile, f, budget)
-    return maximize_welfare(profile, f, budget=budget)
+    if not isinstance(f, LogAffine):
+        return maximize_welfare(profile, f, budget=budget)
+    rows, _ = _scaled_rows(profile, budget)
+    tracker = _TieTracker(0)
+    _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
+    allocation = Allocation(tracker.assignment)
+    return SolveResult(allocation, allocation_welfare(profile, allocation, f), sum(tracker.near.values()))

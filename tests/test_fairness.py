@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fairalloc import (
     Allocation,
     AllocationMismatchError,
+    EnvyWitness,
+    Ef1Violation,
     Profile,
+    allocation_utilities,
     is_ef,
     is_ef1,
     is_pareto_optimal,
@@ -56,8 +61,8 @@ class TestEf1:
             listed = {good for good, _ in violation.removal_gaps}
             assert listed == envied
             for good, remaining in violation.removal_gaps:
-                assert remaining == profile.bundle_utility(
-                    violation.envier, envied - {good}
+                assert remaining == oracles.bundle_value(
+                    profile, violation.envier, envied - {good}
                 )
                 assert violation.own_utility < remaining
 
@@ -169,3 +174,79 @@ class TestParetoOptimality:
             )
             result = maximize_welfare(profile, Affine(1, 0))
             assert is_pareto_optimal(profile, result.allocation).optimal
+
+
+@st.composite
+def instances(draw):
+    """A profile of integers or rationals with mixed denominators, numerators
+    up to 2**60 with zeros, and an allocation of its goods."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, {1: 6, 2: 6, 3: 5}[n]))
+    numerators = st.one_of(
+        st.just(0), st.integers(1, 9), st.integers(1, 2**60), st.sampled_from((2**53, 2**53 + 1, 2**60))
+    )
+    entries = st.one_of(numerators, st.builds(Fraction, numerators, st.sampled_from((2, 3, 5, 7, 12))))
+    profile = Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
+    allocation = Allocation(tuple(draw(st.integers(0, n - 1)) for _ in range(m)))
+    return profile, allocation
+
+
+def exact_fractions(*values):
+    return all(type(value) is Fraction for value in values)
+
+
+class TestIntegerChecks:
+    """The checks compare integer totals on one common scale; every verdict,
+    dominator and witness value must be what the rational definitions give."""
+
+    @given(instances())
+    @settings(max_examples=150, deadline=None)
+    def test_ef_verdict_and_witnesses_match_the_definition(self, instance):
+        profile, allocation = instance
+        bundles = oracles.bundles_of(allocation.assignment, profile.n)
+        expected = []
+        for i in range(profile.n):
+            own = oracles.bundle_value(profile, i, bundles[i])
+            for j in range(profile.n):
+                envied = oracles.bundle_value(profile, i, bundles[j])
+                if i != j and own < envied:
+                    expected.append(EnvyWitness(i, j, own, envied))
+        verdict = is_ef(profile, allocation)
+        assert verdict.holds == oracles.ef_holds(profile, allocation.assignment)
+        assert list(verdict.violations) == expected
+        assert all(exact_fractions(w.own_utility, w.envied_utility) for w in verdict.violations)
+
+    @given(instances())
+    @settings(max_examples=150, deadline=None)
+    def test_ef1_verdict_and_witnesses_match_the_definition(self, instance):
+        profile, allocation = instance
+        bundles = oracles.bundles_of(allocation.assignment, profile.n)
+        expected = []
+        for i in range(profile.n):
+            own = oracles.bundle_value(profile, i, bundles[i])
+            for j in range(profile.n):
+                gaps = tuple((g, oracles.bundle_value(profile, i, bundles[j] - {g})) for g in sorted(bundles[j]))
+                if i != j and gaps and all(own < remaining for _, remaining in gaps):
+                    expected.append(Ef1Violation(i, j, own, gaps))
+        verdict = is_ef1(profile, allocation)
+        assert verdict.holds == oracles.ef1_holds(profile, allocation.assignment)
+        assert list(verdict.violations) == expected
+        for violation in verdict.violations:
+            assert exact_fractions(violation.own_utility, *(r for _, r in violation.removal_gaps))
+
+    @given(instances())
+    @settings(max_examples=100, deadline=None)
+    def test_pareto_verdict_and_first_dominator_match_the_definition(self, instance):
+        profile, allocation = instance
+        verdict = is_pareto_optimal(profile, allocation)
+        dominators = oracles.pareto_dominators(profile, allocation.assignment)
+        assert verdict.optimal == (not dominators)
+        assert verdict.dominator == (Allocation(dominators[0]) if dominators else None)
+
+    @given(instances())
+    @settings(max_examples=150, deadline=None)
+    def test_allocation_utilities_match_the_definition(self, instance):
+        profile, allocation = instance
+        utilities = allocation_utilities(profile, allocation)
+        assert list(utilities) == oracles.utilities_of(profile, allocation.assignment)
+        assert exact_fractions(*utilities)

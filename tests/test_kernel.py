@@ -9,7 +9,9 @@ each consumer with the definitions in ``oracles``, which go through the
 allocations one at a time; the block tests do so at several block sizes.
 """
 
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -22,6 +24,7 @@ import oracles
 from fairalloc import (
     Allocation,
     EnumerationBudgetError,
+    InvalidWelfareFunctionError,
     Profile,
     is_pareto_optimal,
     max_nash_welfare,
@@ -37,7 +40,11 @@ from fairalloc.welfarist import (
     ExtendedWelfare,
     LogAffine,
     Power,
+    WelfareFunction,
     _Terms,
+    _terms,
+    allocation_welfare,
+    solve,
     welfare_maximizers,
 )
 
@@ -207,9 +214,51 @@ class TestTermMemo:
     def test_scans_past_a_full_memo_give_the_same_results(self, profile, f):
         expected = [maximize_welfare(profile, f, method=m) for m in ("exhaustive", "branch-and-bound")]
         expected_band = welfare_maximizers(profile, f)
-        with mock.patch.object(welfarist, "_TERMS_CAP", 2):
+        # memos filled by earlier calls would answer without reaching the cap
+        with mock.patch.object(welfarist, "_TERMS_CAP", 2), mock.patch.dict(welfarist._memos, clear=True):
             assert [maximize_welfare(profile, f, method=m) for m in ("exhaustive", "branch-and-bound")] == expected
             assert welfare_maximizers(profile, f) == expected_band
+            assert all(len(terms) <= 2 for terms in welfarist._memos.values())
+
+    def test_functions_with_the_same_scale_never_share_terms(self):
+        profile = Profile([[3, 5], [4, 0]])
+        allocation = Allocation((0, 1))
+        for a in (1, 2, 1, 2):
+            f = LogAffine(a, 0)  # a fresh object each time; the last one may be freed
+            assert allocation_welfare(profile, allocation, f) == ExtendedWelfare(1, a * math.log(3))
+            assert maximize_welfare(profile, f).welfare == ExtendedWelfare(0, a * math.log(20))
+        assert _terms(LogAffine(1, 0), 1)[5] != _terms(LogAffine(2, 0), 1)[5]
+
+    def test_a_raising_total_raises_on_every_call(self):
+        f = Exp()
+        profile = Profile([[1000, 1], [1, 1]])
+        for _ in range(3):
+            with pytest.raises(InvalidWelfareFunctionError, match="exp overflowed"):
+                maximize_welfare(profile, f)
+            with pytest.raises(InvalidWelfareFunctionError, match="exp overflowed"):
+                allocation_welfare(profile, Allocation((0, 0)), f)
+        assert all(total < 1000 for total in _terms(f, 1))
+
+    def test_the_number_of_memos_kept_is_bounded(self):
+        profile = Profile([[1, 2], [2, 1]])
+        for a in range(1, 3 * welfarist._MEMO_COUNT):
+            maximize_welfare(profile, Affine(a, 0))
+            assert len(welfarist._memos) <= welfarist._MEMO_COUNT
+
+    def test_an_unhashable_welfare_function_still_solves(self):
+        @dataclass
+        class Linear(WelfareFunction):
+            a: float = 1.0
+
+            def value(self, x):
+                return self.a * float(x)
+
+        f = Linear()
+        with pytest.raises(TypeError):
+            hash(f)
+        profile = Profile([[3, 1, 4], [1, 5, 9]])
+        for _ in range(2):
+            assert solve(profile, f) == solve(profile, Affine(1, 0))
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,6 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from fairalloc import (
     Allocation,
@@ -40,7 +44,7 @@ class TestProfile:
     def test_shape_and_exactness(self):
         p = Profile([[0, 2, 2], ["1/2", 1, 1]])
         assert (p.n, p.m) == (2, 3)
-        assert p.utility(1, 0) == Fraction(1, 2)
+        assert p.utilities[1][0] == Fraction(1, 2)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative utility"):
@@ -57,29 +61,42 @@ class TestProfile:
     def test_no_goods_is_fine(self):
         assert Profile([[], []]).m == 0
 
+    def test_cached_scaled_rows_leave_value_semantics_alone(self):
+        rows = [["1/3", 0, 2**60], ["1/2", 1, "7/12"]]
+        filled = Profile(rows)
+        assert filled._scaled == (((4, 0, 12 * 2**60), (6, 12, 7)), 12)
+        fresh = Profile(rows)
+        for twin in (pickle.loads(pickle.dumps(filled)), copy.deepcopy(filled), copy.copy(filled)):
+            assert "_scaled" not in vars(twin)
+            assert twin == filled == fresh
+            assert twin._scaled == filled._scaled
+        assert hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert pickle.dumps(filled) == pickle.dumps(fresh)
+
 
 class TestBundleUtility:
     def test_two_entries(self):
         p = Profile([[0, 2, 2], ["1/2", 1, 1]])
-        assert p.bundle_utility(0, {1, 2}) == 4
+        assert oracles.bundle_value(p, 0, {1, 2}) == 4
 
     def test_empty_bundle(self):
         p = Profile([[0, 2, 2], ["1/2", 1, 1]])
-        assert p.bundle_utility(1, set()) == 0
+        assert oracles.bundle_value(p, 1, set()) == 0
 
     def test_rational_sum(self):
         p = Profile([[0, 2, 2], ["1/2", 1, 1]])
-        assert p.bundle_utility(1, {0, 1, 2}) == Fraction(5, 2)
+        assert oracles.bundle_value(p, 1, {0, 1, 2}) == Fraction(5, 2)
 
     def test_out_of_range_agent(self):
         p = Profile([[1]])
         with pytest.raises(IndexError):
-            p.bundle_utility(1, {0})
+            oracles.bundle_value(p, 1, {0})
 
     def test_out_of_range_good(self):
         p = Profile([[1]])
         with pytest.raises(IndexError):
-            p.bundle_utility(0, {3})
+            oracles.bundle_value(p, 0, {3})
 
     @settings(max_examples=60)
     @given(profiles, st.randoms(use_true_random=False))
@@ -89,9 +106,9 @@ class TestBundleUtility:
         cut = rng.randint(0, len(goods))
         first, second = set(goods[:cut]), set(goods[cut:])
         for agent in range(profile.n):
-            assert profile.bundle_utility(agent, first | second) == profile.bundle_utility(
-                agent, first
-            ) + profile.bundle_utility(agent, second)
+            assert oracles.bundle_value(profile, agent, first | second) == oracles.bundle_value(
+                profile, agent, first
+            ) + oracles.bundle_value(profile, agent, second)
 
 
 def walk(profile, budget=DEFAULT_ENUMERATION_BUDGET):
