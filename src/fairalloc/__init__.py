@@ -51,7 +51,6 @@ from .funcparse import (
     MonotonicityReport,
     check_increasing,
     evaluate_expression,
-    format_expression,
     parse_expression,
 )
 from .model import (

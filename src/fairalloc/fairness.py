@@ -8,7 +8,7 @@ good in the envied bundle, the value that remains after removing it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import compress
 from operator import and_
 
 from .model import (
@@ -16,7 +16,9 @@ from .model import (
     Allocation,
     Profile,
     _blocks,
+    _row_sums,
     _scaled_rows,
+    _suffix_length,
     _totals,
     check_allocation,
 )
@@ -126,8 +128,7 @@ def is_pareto_optimal(
     """
     rows, _ = _scaled_rows(profile, budget)
     current = _totals(profile, allocation)
-    # rest[i][t] = agent i's value for goods t..m-1
-    rest = [list(accumulate(reversed(row), initial=0))[::-1] for row in rows]
+    _, rest = _row_sums(rows, _suffix_length(profile.n, profile.m))
 
     def prune(depth, totals):
         return any(t + r[depth] < c for t, r, c in zip(totals, rest, current))

@@ -10,9 +10,9 @@ Grammar, loosest binding first::
     power  := atom ['^' unary]          right-associative
     atom   := NUMBER | 'x' | NAME '(' expr ')' | '(' expr ')'
 
-Literals are kept as exact ``Fraction``s in the tree; evaluation is IEEE
-floating point with ``ln(0) = -inf``.  A NaN or ``+inf`` result is an error.
-:func:`enclose_expression` instead bounds the exact value between rationals.
+Literals are exact ``Fraction``s in the tree, which two evaluators read: the
+float function of :func:`compile_expression` (IEEE, ``ln(0) = -inf``; a NaN or
+``+inf`` result is an error), and :func:`enclose_expression`, rational bounds.
 """
 
 import decimal
@@ -171,125 +171,77 @@ def parse_expression(text: str) -> Expression:
     return node
 
 
-# Precedence levels used by the canonical printer.
-_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
-
-
-def _decimal_literal(value: Fraction) -> str | None:
-    """Exact decimal text for fractions with a 2^a * 5^b denominator."""
+def _ln(value):
+    if value == 0:
+        return -math.inf
     if value < 0:
-        return None
-    remainder = value.denominator
-    twos = fives = 0
-    while remainder % 2 == 0:
-        remainder //= 2
-        twos += 1
-    while remainder % 5 == 0:
-        remainder //= 5
-        fives += 1
-    if remainder != 1:
-        return None
-    if twos == fives == 0:
-        return str(value.numerator)
-    places = max(twos, fives)
-    digits = value.numerator * 10**places // value.denominator
-    text = str(digits).rjust(places + 1, "0")
-    return f"{text[:-places]}.{text[-places:]}"
+        raise ExpressionEvalError(f"ln of a negative value ({value!r})")
+    return math.log(value)
 
 
-def _prec(node):
-    if isinstance(node, (Var, Call)):
-        return _ATOM
-    if isinstance(node, Num):
-        if node.value < 0:
-            return _ADD  # forces parens; negative literals are not parseable
-        return _ATOM if _decimal_literal(node.value) is not None else _MUL
-    if isinstance(node, Neg):
-        return _NEG
-    return {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}[node.op]
-
-
-def _wrap(text, needs_parens):
-    return f"({text})" if needs_parens else text
-
-
-def format_expression(node: Expression) -> str:
-    """Canonical text form; ``parse_expression`` inverts it node for node.
-
-    The one exception is a hand-built ``Num`` whose value no numeric literal
-    can spell (for example 1/3): it prints as a division, which reparses to
-    an equal value and a stable string, but a different node.
-    """
-    if isinstance(node, Num):
-        literal = _decimal_literal(node.value)
-        return str(node.value) if literal is None else literal
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Call):
-        return f"{node.name}({format_expression(node.operand)})"
-    if isinstance(node, Neg):
-        inner = format_expression(node.operand)
-        return "-" + _wrap(inner, _prec(node.operand) < _NEG)
-    left, right = format_expression(node.left), format_expression(node.right)
-    if node.op == "^":
-        # the grammar allows only an atom on the left and a unary on the right
-        return _wrap(left, _prec(node.left) < _ATOM) + "^" + _wrap(
-            right, _prec(node.right) < _NEG
-        )
-    mine = _prec(node)
-    left = _wrap(left, _prec(node.left) < mine)
-    right = _wrap(right, _prec(node.right) <= mine)  # all four are left-associative
-    return f"{left}{node.op}{right}"
-
-
-def _eval(node, x):
-    if isinstance(node, Num):
-        return float(node.value)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x)
-    if isinstance(node, Call):
-        value = _eval(node.operand, x)
-        if node.name == "ln":
-            if value == 0:
-                return -math.inf
-            if value < 0:
-                raise ExpressionEvalError(f"ln of a negative value ({value!r})")
-            return math.log(value)
-        if node.name == "exp":
-            try:
-                return math.exp(value)
-            except OverflowError:
-                raise ExpressionEvalError(f"exp overflow at argument {value!r}") from None
-        if node.name == "sqrt":
-            if value < 0:
-                raise ExpressionEvalError(f"sqrt of a negative value ({value!r})")
-            return math.sqrt(value)
-        raise ExpressionEvalError(f"unknown function {node.name!r}")
-    left = _eval(node.left, x)
-    right = _eval(node.right, x)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        try:
-            return left / right
-        except ZeroDivisionError:
-            raise ExpressionEvalError("division by zero") from None
+def _exp(value):
     try:
-        return math.pow(left, right)
+        return math.exp(value)
+    except OverflowError as exc:
+        raise ExpressionEvalError(f"exp overflow at argument {value!r}") from exc
+
+
+def _sqrt(value):
+    if value < 0:
+        raise ExpressionEvalError(f"sqrt of a negative value ({value!r})")
+    return math.sqrt(value)
+
+
+def _divide(numerator, denominator):
+    try:
+        return numerator / denominator
+    except ZeroDivisionError:
+        raise ExpressionEvalError("division by zero") from None
+
+
+def _pow(base, exponent):
+    try:
+        return math.pow(base, exponent)
     except ValueError:
-        raise ExpressionEvalError(
-            f"invalid power: base {left!r}, exponent {right!r}"
-        ) from None
-    except OverflowError:
-        raise ExpressionEvalError(
-            f"power overflow: base {left!r}, exponent {right!r}"
-        ) from None
+        raise ExpressionEvalError(f"invalid power: base {base!r}, exponent {exponent!r}") from None
+    except OverflowError as exc:
+        raise ExpressionEvalError(f"power overflow: base {base!r}, exponent {exponent!r}") from exc
+
+
+_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})", "^": "_pow({}, {})"}
+
+
+@lru_cache(maxsize=64)
+def compile_expression(expr: Expression):
+    """``expr`` as a function of a float ``x``: generated source, one statement per
+    operation in evaluation order, naming only ``x``, temporaries, the helpers
+    above and the literals' float values.  Raises :class:`ExpressionEvalError`
+    outside the domain (chained to the ``OverflowError`` of ``exp`` or a power)."""
+    namespace = {"_ln": _ln, "_exp": _exp, "_sqrt": _sqrt, "_divide": _divide, "_pow": _pow}
+    lines = []
+
+    def emit(node):
+        """The name holding ``node``'s value, after the statements computing it."""
+        if isinstance(node, Num):
+            name = f"c{len(namespace)}"
+            namespace[name] = float(node.value)
+            return name
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Neg):
+            code = f"-{emit(node.operand)}"
+        elif isinstance(node, Call):
+            if node.name not in ("ln", "exp", "sqrt"):
+                raise ExpressionEvalError(f"unknown function {node.name!r}")
+            code = f"_{node.name}({emit(node.operand)})"
+        else:
+            code = _BINARY[node.op].format(emit(node.left), emit(node.right))
+        lines.append(f"    t{len(lines)} = {code}")
+        return f"t{len(lines) - 1}"
+
+    result = emit(expr)
+    exec("\n".join(["def function(x):", *lines, f"    return {result}"]), namespace)
+    return namespace["function"]
 
 
 def evaluate_expression(expr: Expression, x) -> float:
@@ -304,7 +256,7 @@ def evaluate_expression(expr: Expression, x) -> float:
         raise ExpressionEvalError("argument is too large for float arithmetic") from None
     if x < 0:
         raise ExpressionEvalError(f"expressions are evaluated on x >= 0, got {x!r}")
-    result = _eval(expr, x)
+    result = compile_expression(expr)(x)
     if math.isnan(result):
         raise ExpressionEvalError("expression evaluated to NaN")
     if result == math.inf:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter
 
 from .errors import (
@@ -238,19 +238,30 @@ def _blocks(rows, prune=None):
     bundles (each some agent's in some entry) and gathers, not ``n**s`` entries.
     """
     n, m = len(rows), len(rows[0])
-    s = 0
-    while s < m and n > 1 and n ** (s + 1) <= _BLOCK:
-        s += 1
-    split = m - s
+    s = _suffix_length(n, m)
+    bundles, _ = _row_sums(rows, s)
+    suffixes, gathers = _suffix_table(n, s)
+    prefix_rows = tuple(row[: m - s] for row in rows)
+    return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
+
+
+def _suffix_length(n: int, m: int) -> int:
+    return 0 if n == 1 else max(s for s in range(m + 1) if n**s <= _BLOCK)
+
+
+@lru_cache(maxsize=16)
+def _row_sums(rows, s: int):
+    """``(bundles, rest)`` of the scaled rows, once per profile and suffix length
+    ``s``: each agent's value for each subset of the last ``s`` goods, and
+    ``rest[i][t]``, agent ``i``'s for goods ``t..m-1``; tuples, as scans share them."""
     bundles = []
     for row in rows:
         sums = [0]
-        for value in row[split:]:
+        for value in row[len(row) - s:]:
             sums = [total + gain for total in sums for gain in (0, value)]
-        bundles.append(sums)
-    suffixes, gathers = _suffix_table(n, s)
-    prefix_rows = tuple(row[:split] for row in rows)
-    return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
+        bundles.append(tuple(sums))
+    rest = tuple(tuple(accumulate(reversed(row), initial=0))[::-1] for row in rows)
+    return tuple(bundles), rest
 
 
 # ---------------------------------------------------------------------------

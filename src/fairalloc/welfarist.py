@@ -1,11 +1,12 @@
 """Welfare functions, extended-real welfare, and exact welfare maximization.
 
-An additive welfarist rule applies an increasing function ``f`` to each
-agent's bundle utility and picks an allocation maximizing the sum.  The
-log-affine family (maximum Nash welfare) gets a dedicated solver that
-compares exact rational products instead of float log sums, so its argmax is
-immune to rounding.  Every solver breaks ties by the lexicographically
-smallest assignment vector.
+An additive welfarist rule applies an increasing function ``f``, defined by
+its exact expression tree that ``value`` compiles to floats, to each agent's
+bundle utility and picks an allocation maximizing the sum.  The log-affine
+family (maximum Nash welfare) gets a dedicated solver that compares exact
+rational products instead of float log sums, so its argmax is immune to
+rounding.  Every solver breaks ties by the lexicographically smallest
+assignment vector.
 
 All solvers walk the shared integer kernel of :mod:`fairalloc.model`, a
 prefix walk that hands over the allocations of the last goods as one block
@@ -15,14 +16,15 @@ and branch-and-bound adds a pruning hook to the prefix walk.
 """
 
 import math
+import sys
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import total_ordering
-from itertools import accumulate, compress, repeat
+from functools import cached_property, total_ordering
+from itertools import compress, repeat
 from operator import add, le, mul
 
-from .errors import InvalidWelfareFunctionError
+from .errors import ExpressionEvalError, InvalidWelfareFunctionError
 from .funcparse import (
     BinOp,
     Call,
@@ -30,7 +32,7 @@ from .funcparse import (
     Num,
     Var,
     check_increasing,
-    evaluate_expression,
+    compile_expression,
     parse_expression,
 )
 from .model import (
@@ -38,7 +40,9 @@ from .model import (
     Allocation,
     Profile,
     _blocks,
+    _row_sums,
     _scaled_rows,
+    _suffix_length,
     _totals,
 )
 
@@ -57,46 +61,55 @@ _TERMS_CAP = 1 << 12
 _MEMO_COUNT = 8
 
 
-def _format_param(value: float) -> str:
-    return f"{value:g}"
-
-
-def _finite_above(result: float, description: str) -> float:
-    if math.isnan(result):
-        raise InvalidWelfareFunctionError(f"{description} evaluated to NaN")
-    if result == math.inf:
-        raise InvalidWelfareFunctionError(f"{description} evaluated to +inf")
-    return result
-
-
 def _sized(x) -> str:
-    # a huge utility's repr runs to hundreds of characters; its size does not
-    return f"utility with {len(str(abs(math.trunc(x))))} digits"
+    # a huge or tiny utility's repr runs to hundreds of characters; its size does not
+    if 1 <= x < math.inf:
+        return f"utility with {len(str(math.trunc(x)))} digits"
+    if 0 < x < 1 and isinstance(x, Fraction):
+        return f"utility of at most 10^-{len(str(math.floor(1 / x))) - 1}"
+    return f"utility {x}"
 
 
-def _as_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        raise InvalidWelfareFunctionError(
-            f"{_sized(x)} is too large for float arithmetic"
-        ) from None
-
-
-def _affine_tree(f, node):
-    return BinOp("+", BinOp("*", Num(Fraction(f.a)), node), Num(Fraction(f.b)))
+def _exact(f, what):
+    """Store ``f``'s parameters as ``Fraction``s that a float can hold; the first, ``what``, is positive."""
+    for field in fields(f):
+        value = Fraction(getattr(f, field.name))
+        if value and not math.ulp(0.0) <= abs(value) <= sys.float_info.max:
+            raise InvalidWelfareFunctionError(f"parameter {field.name} is beyond float range")
+        object.__setattr__(f, field.name, value)
+    first = getattr(f, fields(f)[0].name)
+    if not first > 0:
+        raise InvalidWelfareFunctionError(f"{what} must be positive, got {first}")
 
 
 class WelfareFunction:
-    """An increasing function from [0, inf) into [-inf, inf).
-
-    ``value`` accepts exact rationals (or floats) and returns a float;
-    ``-inf`` is allowed only at 0; ``ast`` is ``f`` as an expression tree,
-    for certified bounds.  Instances are immutable and safe to share.
-    """
+    """An increasing function from [0, inf) into [-inf, inf), defined once by its tree
+    ``ast`` with exact parameters.  ``value`` evaluates the tree in floats, ``-inf`` only
+    at 0, compiled once per instance (no part of equality, hash, repr or pickling); the
+    search encloses the same tree.  Instances are immutable and safe to share."""
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        if x < 0:
+            raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
+        compiled = self._compiled
+        try:
+            result = compiled(float(x))
+        except OverflowError:  # from float(x): the compiled tree raises ExpressionEvalError
+            raise InvalidWelfareFunctionError(f"{_sized(x)} is too large for float arithmetic") from None
+        except ExpressionEvalError as exc:
+            if isinstance(exc.__cause__, OverflowError):
+                raise InvalidWelfareFunctionError(f"{self} overflowed at a {_sized(x)}") from None
+            raise InvalidWelfareFunctionError(f"{self} failed at a {_sized(x)}: {exc}") from None
+        if NEG_INF < result < math.inf or result == NEG_INF and x == 0:
+            return result
+        raise InvalidWelfareFunctionError(f"{self} evaluated to {result} at a {_sized(x)}")
+
+    @cached_property
+    def _compiled(self):
+        return compile_expression(self.ast())
+
+    def __getstate__(self):
+        return {name: item for name, item in vars(self).items() if name != "_compiled"}
 
     def ast(self) -> Expression:
         raise NotImplementedError(f"{type(self).__name__} supplies no expression tree")
@@ -110,118 +123,64 @@ class WelfareFunction:
 class LogAffine(WelfareFunction):
     """f(x) = a*ln(x) + b with a > 0; f(0) = -inf."""
 
-    a: float = 1.0
-    b: float = 0.0
+    a: Fraction = Fraction(1)
+    b: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not self.a > 0:
-            raise InvalidWelfareFunctionError(
-                f"log-affine slope must be positive, got {self.a!r}"
-            )
-
-    def value(self, x) -> float:
-        if x < 0:
-            raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
-        if x == 0:
-            return NEG_INF
-        fx = _as_float(x)
-        if fx <= 0:
-            raise InvalidWelfareFunctionError(
-                f"utility {x!r} underflows float precision"
-            )
-        return _finite_above(self.a * math.log(fx) + self.b, "log-affine function")
+        _exact(self, "log-affine slope")
 
     def ast(self) -> Expression:
-        return _affine_tree(self, Call("ln", Var()))
+        return BinOp("+", BinOp("*", Num(self.a), Call("ln", Var())), Num(self.b))
 
     def is_concave(self) -> bool:
         return True
 
     def __str__(self):
-        if (self.a, self.b) == (1.0, 0.0):
-            return "log"
-        return f"log:{_format_param(self.a)},{_format_param(self.b)}"
+        return "log" if (self.a, self.b) == (1, 0) else f"log:{self.a},{self.b}"
 
 
 @dataclass(frozen=True)
 class Affine(WelfareFunction):
     """f(x) = a*x + b with a > 0 (a = 1, b = 0 is utilitarian welfare)."""
 
-    a: float = 1.0
-    b: float = 0.0
+    a: Fraction = Fraction(1)
+    b: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not self.a > 0:
-            raise InvalidWelfareFunctionError(
-                f"affine slope must be positive, got {self.a!r}"
-            )
-
-    def value(self, x) -> float:
-        if x < 0:
-            raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
-        return _finite_above(self.a * _as_float(x) + self.b, "affine function")
+        _exact(self, "affine slope")
 
     def ast(self) -> Expression:
-        return _affine_tree(self, Var())
+        return BinOp("+", BinOp("*", Num(self.a), Var()), Num(self.b))
 
     def is_concave(self) -> bool:
         return True
 
     def __str__(self):
-        return f"affine:{_format_param(self.a)},{_format_param(self.b)}"
+        return f"affine:{self.a},{self.b}"
 
 
 @dataclass(frozen=True)
 class Power(WelfareFunction):
     """f(x) = x**p with p > 0."""
 
-    p: float
+    p: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        if not self.p > 0:
-            raise InvalidWelfareFunctionError(
-                f"power exponent must be positive, got {self.p!r}"
-            )
-
-    def value(self, x) -> float:
-        if x < 0:
-            raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
-        try:
-            result = math.pow(_as_float(x), self.p)
-        except OverflowError:
-            raise InvalidWelfareFunctionError(
-                f"power function overflowed at a {_sized(x)}"
-            ) from None
-        return _finite_above(result, "power function")
+        _exact(self, "power exponent")
 
     def ast(self) -> Expression:
-        return BinOp("^", Var(), Num(Fraction(self.p)))
+        return BinOp("^", Var(), Num(self.p))
 
     def is_concave(self) -> bool:
         return self.p <= 1
 
     def __str__(self):
-        return f"power:{_format_param(self.p)}"
+        return f"power:{self.p}"
 
 
 @dataclass(frozen=True)
 class Exp(WelfareFunction):
     """f(x) = e**x."""
-
-    def value(self, x) -> float:
-        if x < 0:
-            raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
-        try:
-            return math.exp(_as_float(x))
-        except OverflowError:
-            raise InvalidWelfareFunctionError(
-                f"exp overflowed at a {_sized(x)}"
-            ) from None
 
     def ast(self) -> Expression:
         return Call("exp", Var())
@@ -250,18 +209,6 @@ class CustomExpression(WelfareFunction):
     @classmethod
     def from_text(cls, text: str) -> "CustomExpression":
         return cls(parse_expression(text), text)
-
-    def value(self, x) -> float:
-        if x < 0:
-            raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
-        try:
-            return evaluate_expression(self.expression, _as_float(x))
-        except InvalidWelfareFunctionError:
-            raise
-        except ValueError as exc:
-            raise InvalidWelfareFunctionError(
-                f"expression {self.source!r} failed at x={x!r}: {exc}"
-            ) from exc
 
     def ast(self) -> Expression:
         return self.expression
@@ -312,7 +259,7 @@ def _parse_params(spec, args, count, defaults):
     values = []
     for piece in pieces:
         try:
-            values.append(float(Fraction(piece)))
+            values.append(Fraction(piece))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidWelfareFunctionError(
                 f"bad numeric parameter {piece!r} in {spec!r}"
@@ -497,8 +444,7 @@ def _concavity_prune(rows, terms, tracker):
     """Branch-and-bound's prefix test for concave ``f``: true when no
     completion of the prefix can reach the running maximum's tie band."""
     n, m = len(rows), len(rows[0])
-    # rest[i][t] = agent i's value for goods t..m-1
-    rest = [list(accumulate(reversed(row), initial=0))[::-1] for row in rows]
+    _, rest = _row_sums(rows, _suffix_length(n, m))
 
     def prune(t, totals):
         best = tracker.best

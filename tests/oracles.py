@@ -8,6 +8,9 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from fairalloc.errors import ExpressionEvalError
+from fairalloc.funcparse import Call, Neg, Num, Var
+
 NEG_INF = float("-inf")
 
 
@@ -114,3 +117,54 @@ def best_nash(profile):
         elif key == best_key:
             ties += 1
     return best_assignment, best_key, ties
+
+
+def _eval(node, x):
+    """The recursive float evaluator that ``funcparse.compile_expression`` replaced."""
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_eval(node.operand, x)
+    if isinstance(node, Call):
+        value = _eval(node.operand, x)
+        if node.name == "ln":
+            if value == 0:
+                return -math.inf
+            if value < 0:
+                raise ExpressionEvalError(f"ln of a negative value ({value!r})")
+            return math.log(value)
+        if node.name == "exp":
+            try:
+                return math.exp(value)
+            except OverflowError:
+                raise ExpressionEvalError(f"exp overflow at argument {value!r}") from None
+        if node.name == "sqrt":
+            if value < 0:
+                raise ExpressionEvalError(f"sqrt of a negative value ({value!r})")
+            return math.sqrt(value)
+        raise ExpressionEvalError(f"unknown function {node.name!r}")
+    left = _eval(node.left, x)
+    right = _eval(node.right, x)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        try:
+            return left / right
+        except ZeroDivisionError:
+            raise ExpressionEvalError("division by zero") from None
+    try:
+        return math.pow(left, right)
+    except ValueError:
+        raise ExpressionEvalError(
+            f"invalid power: base {left!r}, exponent {right!r}"
+        ) from None
+    except OverflowError:
+        raise ExpressionEvalError(
+            f"power overflow: base {left!r}, exponent {right!r}"
+        ) from None

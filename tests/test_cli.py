@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,15 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--profile", path, "--f", spec])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+        assert len(result.stderr) < 200
+
+    @pytest.mark.parametrize("spec", ["log", "log:2,1", "expr:ln(x)"])
+    def test_utility_below_float_range_exits_2(self, runner, tmp_path, spec):
+        # agent 0 must take good 0, so its positive utility 1/10^400 is evaluated
+        path = write_profile(tmp_path / "p.json", [[Fraction(1, 10**400), 0], [0, 1]])
+        result = runner.invoke(main, ["solve", "--profile", path, "--f", spec])
+        assert result.exit_code == 2
+        assert "-inf at a utility of at most 10^-400" in result.stderr
         assert len(result.stderr) < 200
 
     @pytest.mark.parametrize("spec", ["power:2", "exp"])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from fairalloc.errors import (
     ExpressionError,
     ExpressionEvalError,
@@ -18,8 +20,8 @@ from fairalloc.funcparse import (
     Num,
     Var,
     check_increasing,
+    compile_expression,
     evaluate_expression,
-    format_expression,
     parse_expression,
 )
 
@@ -136,48 +138,48 @@ def expression_trees(max_depth=4):
     return st.recursive(leaves, extend, max_leaves=12)
 
 
-class TestPrinter:
-    @settings(max_examples=200)
-    @given(expression_trees())
-    def test_print_parse_reconstructs_tree(self, tree):
-        assert parse_expression(format_expression(tree)) == tree
+class TestCompiledEvaluation:
+    """The compiled float code against the recursive reference evaluator."""
 
-    def test_decimal_literals_round_trip_exactly(self):
-        assert format_expression(Num(Fraction(1, 2))) == "0.5"
-        assert parse_expression("0.5") == Num(Fraction(1, 2))
-        assert format_expression(Num(Fraction(3, 8))) == "0.375"
+    @staticmethod
+    def outcome(evaluate, x):
+        try:
+            return float.hex(evaluate(x))
+        except Exception as exc:  # the same type and message are expected
+            return type(exc), str(exc)
 
-    def test_unspellable_fraction_prints_as_division(self):
-        text = format_expression(Num(Fraction(1, 3)))
-        assert text == "1/3"
-        reparsed = parse_expression(text)
-        assert evaluate_expression(reparsed, 0.0) == pytest.approx(1 / 3)
-        assert format_expression(parse_expression(text)) == text
+    @settings(max_examples=300)
+    @given(expression_trees(), st.one_of(
+        st.sampled_from([0.0, 2.0**53, 1e300, -1.0, -2.5]),
+        st.fractions(min_value=0, max_value=20, max_denominator=16).map(float),
+    ))
+    def test_matches_the_reference(self, tree, x):
+        compiled = compile_expression(tree)
+        assert self.outcome(compiled, x) == self.outcome(lambda x: oracles._eval(tree, x), x)
 
-    def test_unspellable_fraction_parenthesized_in_context(self):
-        tree = BinOp("*", Num(Fraction(3)), Num(Fraction(1, 3)))
-        text = format_expression(tree)
-        assert text == "3*(1/3)"
-        assert evaluate_expression(parse_expression(text), 0.0) == pytest.approx(1.0)
+    @pytest.mark.parametrize("text,x,message", [
+        ("ln(x-1)", 0.5, "ln of a negative value (-0.5)"),
+        ("sqrt(x-5)", 1.0, "sqrt of a negative value (-4.0)"),
+        ("1/(x-2)", 2.0, "division by zero"),
+        ("(x-3)^0.5", 1.0, "invalid power: base -2.0, exponent 0.5"),
+        ("exp(x)", 1000.0, "exp overflow at argument 1000.0"),
+        ("x^400", 10.0, "power overflow: base 10.0, exponent 400.0"),
+    ])
+    def test_domain_errors_match_the_reference(self, text, x, message):
+        tree = parse_expression(text)
+        expected = (ExpressionEvalError, message)
+        assert self.outcome(compile_expression(tree), x) == expected
+        assert self.outcome(lambda x: oracles._eval(tree, x), x) == expected
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "ln(x)",
-            "3*ln(x)+2",
-            "2^3^2",
-            "-x^2",
-            "x^2 - 4*x",
-            "(x+1)*(x+2)",
-            "1/2",
-            "sqrt(x)/x",
-            "exp(-x)",
-            "neg(x)+x",
-        ],
-    )
-    def test_string_fixed_point(self, text):
-        once = format_expression(parse_expression(text))
-        assert format_expression(parse_expression(once)) == once
+    def test_deep_trees_compile(self):
+        # one statement per node: no nesting limit of Python's parser applies
+        tree = parse_expression("sqrt(" * 150 + "x+9" + ")" * 150 + "+x" * 300)
+        assert self.outcome(compile_expression(tree), 2.0) == self.outcome(lambda x: oracles._eval(tree, x), 2.0)
+
+    def test_overflow_is_chained_to_the_overflow_error(self):
+        with pytest.raises(ExpressionEvalError) as excinfo:
+            compile_expression(parse_expression("exp(x)"))(1000.0)
+        assert isinstance(excinfo.value.__cause__, OverflowError)
 
 
 class TestFuzz:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from fairalloc import (
     max_nash_welfare,
     maximize_welfare,
 )
+from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, compile_expression
 from fairalloc.welfarist import (
     Affine,
     CustomExpression,
@@ -106,10 +109,78 @@ class TestFunctionSpecs:
         for spec in ("log", "log:3,2", "affine:1,0", "power:2", "exp"):
             assert str(welfare_function_from_spec(spec)) == spec
 
+    @pytest.mark.parametrize("spec,parameter", [
+        ("power:1/3", Fraction(1, 3)),
+        ("log:1/3,0", Fraction(1, 3)),
+        ("power:0.1", Fraction(1, 10)),
+        ("affine:3/2,-2", Fraction(3, 2)),
+        ("log:0.5,-1", Fraction(1, 2)),
+    ])
+    def test_parameters_are_exact(self, spec, parameter):
+        f = welfare_function_from_spec(spec)
+        assert welfare_function_from_spec(str(f)) == f
+        assert str(welfare_function_from_spec(str(f))) == str(f)
+        assert Num(parameter) in _nodes(f.ast())
+
     @pytest.mark.parametrize("spec", ["nope", "power", "exp:1", "affine:1", "expr:"])
     def test_bad_specs(self, spec):
         with pytest.raises(InvalidWelfareFunctionError):
             welfare_function_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["power:1e-400", "log:1e400,0", "affine:1,-1e-400", "log:1,1e400"])
+    def test_parameters_beyond_float_range(self, spec):
+        # exact, but a float evaluation would turn them into 0 or overflow
+        with pytest.raises(InvalidWelfareFunctionError, match="beyond float range"):
+            welfare_function_from_spec(spec)
+
+
+def _nodes(tree):
+    yield tree
+    for child in vars(tree).values():
+        if isinstance(child, (Num, Var, Neg, Call, BinOp)):
+            yield from _nodes(child)
+
+
+class TestCompiledValue:
+    """``value`` evaluates ``ast()``, compiled once and kept out of the
+    instance's identity."""
+
+    SPECS = ["log", "log:1/2,-1", "affine:3,2", "power:1/3", "exp", "expr:3*ln(x)+2"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_identity_is_unchanged_by_evaluation(self, spec):
+        f = welfare_function_from_spec(spec)
+        fresh = {"pickle": pickle.dumps(f), "repr": repr(f), "hash": hash(f), "copy": copy.deepcopy(f)}
+        assert f.value(2) == compile_expression(f.ast())(2.0)
+        assert "_compiled" in vars(f)
+        assert pickle.dumps(f) == fresh["pickle"]
+        assert (repr(f), hash(f)) == (fresh["repr"], fresh["hash"])
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), fresh["copy"]):
+            assert twin == f and hash(twin) == hash(f)
+            assert twin.value(3) == f.value(3)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_minus_inf_only_at_zero(self, spec):
+        f = welfare_function_from_spec(spec)
+        tiny = Fraction(1, 10**400)
+        if isinstance(f, (Affine, Power, Exp)):
+            assert f.value(tiny) == compile_expression(f.ast())(0.0)
+            return
+        assert f.value(0) == -math.inf
+        with pytest.raises(InvalidWelfareFunctionError, match=r"-inf at a utility of at most 10\^-400$"):
+            f.value(tiny)
+
+    def test_errors_name_the_utility_by_its_size(self):
+        with pytest.raises(InvalidWelfareFunctionError, match="^utility with 401 digits is too large"):
+            Affine(1, 0).value(10**400)
+        with pytest.raises(InvalidWelfareFunctionError, match="^power:2 overflowed at a utility with 201 digits$"):
+            Power(2).value(Fraction(10**201, 7))
+        with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility of at most 10\^-2: ln of a"):
+            CustomExpression.from_text("ln(x-1/20)").value(Fraction(1, 100))
+        with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility 0: ln of a negative value \(-0\.05\)$"):
+            CustomExpression.from_text("ln(x-1/20)").value(0)
+        with pytest.raises(InvalidWelfareFunctionError, match="^affine:2,0 evaluated to inf at a utility with 309 digits$"):
+            Affine(2, 0).value(10**308)
 
 
 class TestExtendedWelfare:
