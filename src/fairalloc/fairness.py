@@ -16,6 +16,7 @@ from .model import (
     Allocation,
     Profile,
     _blocks,
+    _memo,
     _row_sums,
     _scaled_rows,
     _suffix_length,
@@ -122,10 +123,10 @@ def is_pareto_optimal(
 
     Scans every allocation; returns the first dominator in lexicographic
     assignment order, so the result does not depend on how the scan might be
-    partitioned.  The budget is checked before anything else.  A prefix is
-    skipped once some agent's total plus all it values in the goods left is
-    below its current utility: no completion of it can dominate.
-    """
+    partitioned.  The budget is checked before anything else.  A prefix is skipped once
+    some agent's total plus all it values in the goods left is below its current utility:
+    no completion of it can dominate.  Each agent's mask of the block entries that meet
+    its need is gathered once per need in a scan (:func:`_memo`, capped), not per prefix."""
     rows, _ = _scaled_rows(profile, budget)
     current = _totals(profile, allocation)
     _, rest = _row_sums(rows, _suffix_length(profile.n, profile.m))
@@ -135,13 +136,13 @@ def is_pareto_optimal(
 
     suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
     split = profile.m - len(suffixes[0])
+    mask_of = _memo(lambda agent, need: gathers[agent]([need <= v for v in bundles[agent]]), rows, suffixes)
     for prefix, totals in prefixes:
         needs = [c - t for c, t in zip(current, totals)]
         fits = None  # entries giving every agent at least its need
-        for need, gather, values in zip(needs, gathers, bundles):
+        for agent, need in enumerate(needs):
             if need > 0:
-                mask = gather([need <= value for value in values])
-                fits = mask if fits is None else list(map(and_, fits, mask))
+                fits = mask_of(agent, need) if fits is None else list(map(and_, fits, mask_of(agent, need)))
         candidates = range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits)
         for k in candidates:
             # a candidate meets every need: it dominates iff it exceeds one

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import ExpressionEvalError, ExpressionSyntaxError
+from .errors import ExpressionEvalError, ExpressionSyntaxError, InvalidWelfareFunctionError
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,8 @@ def compile_expression(expr: Expression):
     """``expr`` as a function of a float ``x``: generated source, one statement per
     operation in evaluation order, naming only ``x``, temporaries, the helpers
     above and the literals' float values.  Raises :class:`ExpressionEvalError`
-    outside the domain (chained to the ``OverflowError`` of ``exp`` or a power)."""
+    outside the domain (chained to the ``OverflowError`` of ``exp`` or a power),
+    and :class:`InvalidWelfareFunctionError` for a literal beyond float range."""
     namespace = {"_ln": _ln, "_exp": _exp, "_sqrt": _sqrt, "_divide": _divide, "_pow": _pow}
     lines = []
 
@@ -224,7 +225,11 @@ def compile_expression(expr: Expression):
         """The name holding ``node``'s value, after the statements computing it."""
         if isinstance(node, Num):
             name = f"c{len(namespace)}"
-            namespace[name] = float(node.value)
+            try:
+                namespace[name] = float(node.value)
+            except OverflowError:  # name its size, not its digits: they may run to thousands
+                digits = len(str(math.trunc(node.value)))
+                raise InvalidWelfareFunctionError(f"literal with {digits} digits is too large for float") from None
             return name
         if isinstance(node, Var):
             return "x"

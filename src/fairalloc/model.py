@@ -10,7 +10,7 @@ Every exhaustive scan in the package runs on one private kernel here: the
 assignments of a prefix of the goods are walked in lexicographic order with
 incrementally updated integer bundle totals, and each prefix brings a
 precomputed block of every assignment of the last goods, evaluated a column
-at a time.
+at a time; a scan memoizes an agent's column by its prefix total, up to a cap.
 """
 
 import json
@@ -33,6 +33,8 @@ DEFAULT_ENUMERATION_BUDGET = 10**7
 
 #: Most assignments of the last goods that the kernel hands over as one block.
 _BLOCK = 256
+#: Most block columns (or other values) that one scan's :func:`_memo` keeps.
+_COLUMN_CAP = 64
 
 
 def _to_utility(value, agent, good):
@@ -262,6 +264,12 @@ def _row_sums(rows, s: int):
         bundles.append(tuple(sums))
     rest = tuple(tuple(accumulate(reversed(row), initial=0))[::-1] for row in rows)
     return tuple(bundles), rest
+
+
+def _memo(build, rows, suffixes):
+    """``build`` of what a block column depends on (an agent and its prefix total, say), memoized
+    for the last :data:`_COLUMN_CAP` arguments if the walk has more than one prefix (else none recurs)."""
+    return lru_cache(_COLUMN_CAP)(build) if len(rows) ** (len(rows[0]) - len(suffixes[0])) > 1 else build
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ assignment vector.
 
 All solvers walk the shared integer kernel of :mod:`fairalloc.model`, a
 prefix walk that hands over the allocations of the last goods as one block
-per prefix, and differ only in the key they build a column at a time; the
-welfare scans memoize ``f(t / L)`` per integer total ``t`` across calls,
-and branch-and-bound adds a pruning hook to the prefix walk.
+per prefix, and differ only in the key they build a column at a time.  A scan
+memoizes each agent's column by its prefix total, up to a cap; the welfare scans
+keep ``f(t / L)`` per integer total ``t`` across calls; branch-and-bound prunes prefixes.
 """
 
 import math
@@ -20,8 +20,8 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, total_ordering
-from itertools import compress, repeat
+from functools import cached_property, partial, reduce, total_ordering
+from itertools import compress, product, repeat
 from operator import add, le, mul
 
 from .errors import ExpressionEvalError, InvalidWelfareFunctionError
@@ -40,6 +40,7 @@ from .model import (
     Allocation,
     Profile,
     _blocks,
+    _memo,
     _row_sums,
     _scaled_rows,
     _suffix_length,
@@ -384,15 +385,9 @@ class _TieTracker:
     def _in_band(self, key):
         return key[0] == self.best[0] and key[1] >= self.floor
 
-    def offer_block(self, prefix, suffixes, primary, secondaries, counts=None):
-        """Offer ``prefix + suffixes[k]`` under the key ``(primary - counts[k],
-        secondaries[k])`` for every ``k`` in order (no ``counts``: all 0)."""
-        if counts is not None:
-            least = min(counts)
-            keep = [count == least for count in counts]
-            suffixes = list(compress(suffixes, keep))
-            secondaries = list(compress(secondaries, keep))
-            primary -= least
+    def offer_block(self, prefix, suffixes, primary, secondaries):
+        """Offer ``prefix + suffixes[k]`` under the key ``(primary, secondaries[k])`` for
+        every ``k`` in order; the scan drops the entries with a lower primary part first."""
         top = max(secondaries)
         best = self.best
         if best is not None and (primary, top) < (best[0], self.floor):
@@ -413,31 +408,45 @@ class _TieTracker:
 
 
 def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, prune=None):
-    """Offer every allocation of the kernel's walk to ``tracker`` under the
-    key ``(primary - number of agents whose term is excluded, the others'
-    terms combined in agent order)``, with an agent's terms computed once per
-    bundle of the last goods and gathered into a column per block."""
+    """Offer every allocation of the kernel's walk to ``tracker`` under the key ``(primary -
+    number of agents whose term is excluded, the others' terms combined in agent order)``.
+    An agent's terms are computed once per bundle of the last goods and gathered into a
+    column per block.  The scan's :func:`_memo` keeps an agent's column and excluded terms'
+    flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs."""
     suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
+
+    def build(agent, total):
+        gather, terms = gathers[agent], [term(total + value) for value in bundles[agent]]
+        if excluded not in terms:
+            return gather(terms), None
+        flags = [value == excluded for value in terms]
+        return gather([neutral if flag else value for flag, value in zip(flags, terms)]), gather(flags)
+
+    def fewest(flagged):  # from the flags the loop has just gathered for ``flagged``
+        counts = list(reduce(partial(map, add), flag_columns))
+        keep = list(map(min(counts).__eq__, counts))
+        return min(counts), keep, list(compress(suffixes, keep))
+
+    column_of, fewest_of = _memo(build, rows, suffixes), _memo(fewest, rows, suffixes)
     for prefix, totals in prefixes:
-        counts = keys = None
+        keys, flagged, flag_columns = None, [], []
         try:
-            for total, gather, values in zip(totals, gathers, bundles):
-                values = [term(total + value) for value in values]
-                if excluded in values:
-                    flags = [value == excluded for value in values]
-                    counts = gather(flags) if counts is None else list(map(add, counts, gather(flags)))
-                    values = [neutral if flag else value for flag, value in zip(flags, values)]
-                column = gather(values)
+            for agent, total in enumerate(totals):
+                column, flags = column_of(agent, total)
+                if flags is not None:
+                    flagged.append((agent, total))
+                    flag_columns.append(flags)
                 keys = column if keys is None else list(map(combine, keys, column))
-        except Exception:
-            # term failed at some total of this block: raise the error that
-            # an allocation-by-allocation scan meets first
-            columns = [gather(values) for gather, values in zip(gathers, bundles)]
-            for k in range(len(suffixes)):
-                for total, column in zip(totals, columns):
-                    term(total + column[k])
+        except Exception:  # raise the error that an allocation-by-allocation scan meets first
+            subsets = [gather(values) for gather, values in zip(gathers, bundles)]
+            for k, (total, subset) in product(range(len(suffixes)), zip(totals, subsets)):
+                term(total + subset[k])
             raise
-        tracker.offer_block(prefix, suffixes, primary, keys, counts)
+        if flagged:
+            least, keep, kept = fewest_of(tuple(flagged))
+            tracker.offer_block(prefix, kept, primary - least, list(compress(keys, keep)))
+        else:
+            tracker.offer_block(prefix, suffixes, primary, keys)
 
 
 def _concavity_prune(rows, terms, tracker):

@@ -88,6 +88,14 @@ class TestSolve:
         assert result.exit_code == 2
         assert "overflowed at a utility with 201 digits" in result.stderr
 
+    def test_expression_literal_beyond_float_range_exits_2(self, runner, tmp_path):
+        path = write_profile(tmp_path / "p.json", [[1, 2], [2, 1]])
+        result = runner.invoke(main, ["solve", "--profile", path, "--f", f"expr:{10**400}*x"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "literal with 401 digits" in result.stderr
+        assert len(result.stderr) < 200
+
 
 class TestCheck:
     def test_all_properties_hold(self, runner, tmp_path):

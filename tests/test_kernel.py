@@ -65,13 +65,15 @@ def rational_profiles(draw, max_agents=3, max_goods=5):
     return Profile(rows)
 
 
+HUGE_ENTRIES = st.one_of(st.just(0), st.integers(1, 2**60), st.sampled_from((2**53, 2**53 + 1, 2**60)))
+
+
 @st.composite
 def huge_profiles(draw, max_agents=3, max_goods=5):
     """Integer utilities up to 2**60, with zeros."""
     n = draw(st.integers(1, max_agents))
     m = draw(st.integers(0, max_goods))
-    entries = st.one_of(st.just(0), st.integers(1, 2**60), st.sampled_from((2**53, 2**53 + 1, 2**60)))
-    return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
+    return Profile([[draw(HUGE_ENTRIES) for _ in range(m)] for _ in range(n)])
 
 
 def assignments_of(profile, draw):
@@ -270,7 +272,7 @@ def block_profiles(draw):
     entries = draw(st.sampled_from((
         st.integers(0, 9),
         st.builds(Fraction, st.integers(0, 9), st.sampled_from((1, 2, 3, 5, 7, 12))),
-        st.one_of(st.just(0), st.integers(1, 2**60), st.sampled_from((2**53, 2**53 + 1, 2**60))),
+        HUGE_ENTRIES,
     )))
     return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
 
@@ -348,3 +350,76 @@ class TestBlocks:
         for size in block_sizes(profile):
             with mock.patch.object(model, "_BLOCK", size):
                 assert maximize_welfare(profile, f, method="branch-and-bound") == expected
+
+
+@dataclass(frozen=True)
+class FlooredLog(WelfareFunction):
+    """``ln(x)``, but ``-inf`` below 3: the excluded terms of a column depend on
+    the prefix total, not only on which agents are at 0."""
+
+    def value(self, x):
+        return math.log(x) if x >= 3 else -math.inf
+
+
+@st.composite
+def walked_profiles(draw, entries):
+    """Shapes whose walk has several prefixes at a 256-allocation block."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers({2: 9, 3: 6, 4: 5}[n], {2: 10, 3: 7, 4: 5}[n]))
+    return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
+
+
+def every_scan(profile, allocation):
+    """Every kernel consumer's answer, the welfare scans' errors included."""
+    answers = [outcome(lambda: block_welfare(profile, f)) for f in BLOCK_FUNCTIONS]
+    answers += [outcome(lambda: maximize_welfare(profile, f, method="branch-and-bound")) for f in WELFARE_FUNCTIONS]
+    return answers + [solve(profile, LogAffine()), is_pareto_optimal(profile, allocation)]
+
+
+class TestColumnMemo:
+    """A scan memoizes each agent's block column by its prefix total, and a
+    block's fewest-excluded entries by the flagged ``(agent, total)`` pairs."""
+
+    @pytest.mark.parametrize("profile", [
+        # every column of the first prefixes is memoized before 800 overflows
+        Profile([[0] + [1] * 5, [0] + [1] * 5, [800] + [1] * 5]),
+        Profile([[0] + [1] * 8, [800] + [1] * 8]),
+        # two prefix goods: the second prefix overflows at 10^5, not at 800
+        Profile([[0, 0] + [1] * 5, [0, 10**5] + [1] * 5, [800, 0] + [1] * 5]),
+    ])
+    @pytest.mark.parametrize("cap", [1, model._COLUMN_CAP])
+    def test_an_overflow_in_a_later_prefix_raises_the_leaf_order_error(self, profile, cap):
+        expected = outcome(lambda: leaf_order_welfare(profile, Exp()))
+        assert expected[0] is InvalidWelfareFunctionError
+        for size in block_sizes(profile):
+            with mock.patch.object(model, "_BLOCK", size), mock.patch.object(model, "_COLUMN_CAP", cap):
+                assert outcome(lambda: block_welfare(profile, Exp())) == expected
+
+    @given(walked_profiles(st.integers(0, 9)))
+    @example(Profile([[1, 2, 0, 0, 0, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0, 0, 0, 0]]))
+    @settings(max_examples=40, deadline=None)
+    def test_excluded_terms_at_a_positive_total_match_the_leaf_order(self, profile):
+        f = FlooredLog()
+        expected = outcome(lambda: leaf_order_welfare(profile, f))
+        for size in sorted({1, profile.n, 256}):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert outcome(lambda: block_welfare(profile, f)) == expected
+
+    @given(walked_profiles(HUGE_ENTRIES), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_a_cap_of_one_column_gives_the_same_answers_up_to_2_pow_60(self, profile, rng):
+        allocation = Allocation(tuple(rng.randrange(profile.n) for _ in range(profile.m)))
+        expected = every_scan(profile, allocation)
+        with mock.patch.object(model, "_COLUMN_CAP", 1):
+            assert every_scan(profile, allocation) == expected
+        check_nash(profile)
+        check_pareto(profile, allocation)
+
+    def test_a_walk_of_one_prefix_builds_no_memo(self):
+        def build(total):
+            return total
+
+        one, two = (_scaled_rows(Profile([[1] * m] * 2), budget=10**7)[0] for m in (8, 9))
+        suffixes = model._suffix_table(2, model._suffix_length(2, 8))[0]
+        assert model._memo(build, one, suffixes) is build
+        assert model._memo(build, two, suffixes) is not build
