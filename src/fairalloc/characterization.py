@@ -110,22 +110,22 @@ def fit_log(
 ) -> LogFitResult:
     """Fit ``a*ln(x) + b`` to ``f`` via the constancy levels.
 
-    If ``d_k`` is constant for every ``k <= k_max``, the slope estimate is
-    ``k_max * level(k_max)`` (the exact slope is the k -> inf limit of that
-    product, approached like O(1/k), so k_max = 50 lands within 2%) and the
-    intercept is ``f(1)``.  Otherwise the first failing report is returned.
+    If ``d_k`` is constant for every ``k <= k_max``, the slope is
+    ``level(1) / ln 2`` (for log-affine ``f`` every ``level(k) / log1p(1/k)``
+    is the slope, and ``k = 1`` cancels least) and the intercept is ``f(1)``.
+    Otherwise the first failing report is returned.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
-    last = None
+    level = None
     for k in range(1, k_max + 1):
         report = constancy_check(f, k, grid, tolerance)
         if not report.constant:
             return LogFitResult(None, report)
-        last = report
-    a = k_max * last.level
+        level = report.level if level is None else level
+    a = level / math.log(2)
     if not a > 0:
-        return LogFitResult(None, last)
+        return LogFitResult(None, report)
     b = f.value(1)
     residual = max(abs(f.value(x) - (a * math.log(float(x)) + b)) for x in grid)
     return LogFitResult(LogFit(a, b, residual), None)

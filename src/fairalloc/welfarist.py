@@ -2,17 +2,18 @@
 
 An additive welfarist rule applies an increasing function ``f``, defined by
 its exact expression tree that ``value`` compiles to floats, to each agent's
-bundle utility and picks an allocation maximizing the sum.  The log-affine
-family (maximum Nash welfare) gets a dedicated solver that compares exact
-rational products instead of float log sums, so its argmax is immune to
-rounding.  Every solver breaks ties by the lexicographically smallest
-assignment vector.
+bundle utility and picks an allocation maximizing the sum.  Every entry point
+ranks a log-affine ``f`` (maximum Nash welfare) by exact rational products
+instead of float log sums, so its argmax and tie count are immune to
+rounding; any other ``f`` is ranked by float sums within a tie band.  Every
+solver breaks ties by the lexicographically smallest assignment vector.
 
 All solvers walk the shared integer kernel of :mod:`fairalloc.model`, a
 prefix walk that hands over the allocations of the last goods as one block
-per prefix, and differ only in the key they build a column at a time.  A scan
-memoizes each agent's column by its prefix total, up to a cap; the welfare scans
-keep ``f(t / L)`` per integer total ``t`` across calls; branch-and-bound prunes prefixes.
+per prefix, in one scan that differs only in the key it builds a column at a
+time.  A scan memoizes each agent's column by its prefix total, up to a cap;
+the float scans keep ``f(t / L)`` per integer total ``t`` across calls;
+branch-and-bound prunes prefixes.
 """
 
 import math
@@ -41,9 +42,7 @@ from .model import (
     Profile,
     _blocks,
     _memo,
-    _row_sums,
     _scaled_rows,
-    _suffix_length,
     _totals,
 )
 
@@ -312,16 +311,13 @@ def allocation_welfare(
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A welfare-maximizing allocation.
+    """A welfare-maximizing allocation, its :func:`allocation_welfare` under ``f``,
+    and the number of maximizers.
 
-    ``maximizer_set_size`` counts every allocation attaining the maximum; for
-    float-valued welfare, "attaining" means within :data:`TIE_TOLERANCE` of
-    the maximum finite part (with the same number of -inf terms), while the
-    maximum itself is found by strict comparison.
-
-    Every solver finds it in one walk of the shared integer kernel over the
-    profile's cached integer rows, with ``f``'s memo kept across calls; the
-    ``welfare`` is the same float sum, in agent order, as :func:`allocation_welfare`.
+    For log-affine ``f`` these are the exact ties of the Nash key (see
+    :func:`max_nash_welfare`).  For any other ``f`` they are the allocations
+    within :data:`TIE_TOLERANCE` of the maximum finite part, with the same
+    number of -inf terms; the maximum itself is found by strict comparison.
     """
 
     allocation: Allocation
@@ -450,62 +446,54 @@ def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, prune
 
 
 def _concavity_prune(rows, terms, tracker):
-    """Branch-and-bound's prefix test for concave ``f``: true when no
-    completion of the prefix can reach the running maximum's tie band."""
+    """Branch-and-bound's prefix test for concave ``f`` with finite ``f(0)``: true when no
+    completion of the prefix can reach the running maximum's tie band.  The bound adds
+    to the agents' terms, per remaining good, the best single-good gain any agent could
+    realize (valid since ``f`` is concave), and must fall below the band by more than
+    ``2(n+m)*2^-52`` times its summands' magnitudes, which bounds the rounding of the
+    terms, of the bound's sum and of any completion's sum in agent order.  The bound
+    plus ``offset`` covers those magnitudes, as every term is at least ``f(0)``."""
     n, m = len(rows), len(rows[0])
-    _, rest = _row_sums(rows, _suffix_length(n, m))
+    relative, offset = 2 * (n + m) * 2.0**-52, 2 * n * max(0.0, -terms[0])
 
     def prune(t, totals):
-        best = tracker.best
-        if best is None:
+        if tracker.best is None:
             return False
-        # Upper-bounds any completion of goods t..m-1: an agent whose term is
-        # still -inf is credited with everything remaining; agents already
-        # finite get their current term plus, per good, the best single-good
-        # gain any of them could realize (valid since f is concave).
-        neg_lower = 0
-        finite_upper = 0.0
-        finite = []  # (agent, term) of the agents already finite
-        for i in range(n):
-            term = terms[totals[i]]
-            if term == NEG_INF:
-                top = terms[totals[i] + rest[i][t]]
-                if top == NEG_INF:
-                    neg_lower += 1
-                else:
-                    finite_upper += top
-            else:
-                finite.append((i, term))
-                finite_upper += term
+        current = [terms[total] for total in totals]
+        upper = sum(current)
         for good in range(t, m):
             gain = 0.0
-            for i, term in finite:
+            for i, term in enumerate(current):
                 candidate = terms[totals[i] + rows[i][good]] - term
                 if candidate > gain:
                     gain = candidate
-            finite_upper += gain
-        if neg_lower > -best[0]:
-            return True
-        return neg_lower == -best[0] and finite_upper < tracker.floor
+            upper += gain
+        return upper < tracker.floor - relative * (upper + offset)
 
     return prune
 
 
 def _scan_welfare(profile, f, budget, keep_members=False, bounded=False):
-    """The welfare scan behind :func:`maximize_welfare` (both methods) and
-    :func:`welfare_maximizers`; ``bounded`` prunes with the concavity bound.
-    Adding 0.0 for a -inf term and starting from the first term rather than
-    from 0.0 can only turn 0.0 into -0.0, which ``+ 0.0`` undoes."""
+    """The one scan behind every solver.  Log-affine ``f`` is ranked by the exact Nash
+    key, with no tie band; any other ``f`` by its float terms summed in agent order,
+    where ``bounded`` prunes with the concavity bound if ``f(0)`` (so every term) is finite.
+    Either way the welfare equals :func:`allocation_welfare` of the first maximizer."""
     rows, scale = _scaled_rows(profile, budget)
-    terms = _terms(f, scale)
-    tracker = _TieTracker(TIE_TOLERANCE, keep_members)
-    prune = _concavity_prune(rows, terms, tracker) if bounded else None
-    _scan_blocks(rows, tracker, term=terms.__getitem__, excluded=NEG_INF, neutral=0.0,
-                 combine=add, primary=0, prune=prune)
-    neg_inf, finite = tracker.best
-    result = SolveResult(Allocation(tracker.assignment), ExtendedWelfare(-neg_inf, finite + 0.0),
-                         sum(tracker.near.values()))
-    return result, tracker.members
+    if isinstance(f, LogAffine):
+        tracker = _TieTracker(0, keep_members)
+        _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
+        allocation = Allocation(tracker.assignment)
+        welfare = allocation_welfare(profile, allocation, f)
+    else:
+        terms = _terms(f, scale)
+        tracker = _TieTracker(TIE_TOLERANCE, keep_members)
+        prune = _concavity_prune(rows, terms, tracker) if bounded and terms[0] > NEG_INF else None
+        _scan_blocks(rows, tracker, term=terms.__getitem__, excluded=NEG_INF, neutral=0.0,
+                     combine=add, primary=0, prune=prune)
+        allocation = Allocation(tracker.assignment)
+        neg_inf, finite = tracker.best  # allocation_welfare's sum but for the sign of a zero sum
+        welfare = ExtendedWelfare(-neg_inf, finite + 0.0)
+    return SolveResult(allocation, welfare, sum(tracker.near.values())), tracker.members
 
 
 def maximize_welfare(
@@ -515,12 +503,14 @@ def maximize_welfare(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     method: str = "exhaustive",
 ) -> SolveResult:
-    """Maximize the additive welfare over all allocations.
+    """Maximize the additive welfare over all allocations; log-affine ``f`` is
+    maximum Nash welfare, ranked exactly (see :func:`max_nash_welfare`).
 
     ``method`` is ``"exhaustive"`` (plain scan) or ``"branch-and-bound"``;
-    both return identical results, the latter merely prunes assignments that
+    both return identical results, the latter merely prunes prefixes that
     provably cannot reach the running maximum's tie band.  The bound holds
-    only for concave ``f``; for any other ``f`` branch-and-bound scans.
+    only for concave ``f`` with finite ``f(0)``; for any other ``f``, log-affine
+    ones included, branch-and-bound scans.
     """
     if method not in ("exhaustive", "branch-and-bound"):
         raise ValueError(f"unknown solve method {method!r}")
@@ -536,8 +526,9 @@ def welfare_maximizers(
 ) -> tuple[SolveResult, tuple[Allocation, ...]]:
     """Like :func:`maximize_welfare`, but also return the whole maximizer set.
 
-    The second element lists every allocation within the tie band, in
-    lexicographic order; its length equals ``maximizer_set_size``.
+    The second element lists every maximizer in lexicographic order: the exact
+    ties of the Nash key for log-affine ``f``, every allocation within the tie
+    band otherwise.  Its length equals ``maximizer_set_size``.
     """
     result, members = _scan_welfare(profile, f, budget, keep_members=True)
     return result, tuple(Allocation(assignment) for _, assignment in members)
@@ -546,7 +537,8 @@ def welfare_maximizers(
 def max_nash_welfare(
     profile: Profile, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> SolveResult:
-    """Maximum Nash welfare with exact arithmetic.
+    """Maximum Nash welfare with exact arithmetic, as every entry point ranks
+    log-affine ``f``.
 
     First maximizes the number of agents with positive utility; among those
     allocations, maximizes the exact product of the positive utilities,
@@ -554,12 +546,9 @@ def max_nash_welfare(
     every product of ``k`` totals by ``L**k``).  No logs, no floats, so strict
     comparisons cannot be flipped by rounding.  Ties break to the
     lexicographically smallest assignment, and ``maximizer_set_size`` counts the optima exactly.
-
-    The reported welfare is the log-welfare of the winner (zero-utility
-    agents contribute -inf terms), matching ``maximize_welfare`` with the
-    plain logarithm.
+    The reported welfare is the winner's under ``ln`` (zero utilities give -inf terms).
     """
-    return solve(profile, LogAffine(), budget=budget)
+    return maximize_welfare(profile, LogAffine(), budget=budget)
 
 
 def solve(
@@ -568,15 +557,6 @@ def solve(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SolveResult:
-    """Run the welfarist rule for ``f``, routing log-affine specs to the
-    exact Nash scan of :func:`max_nash_welfare` (same rule, sturdier arithmetic).
-
-    The reported welfare is always under ``f`` itself.
-    """
-    if not isinstance(f, LogAffine):
-        return maximize_welfare(profile, f, budget=budget)
-    rows, _ = _scaled_rows(profile, budget)
-    tracker = _TieTracker(0)
-    _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
-    allocation = Allocation(tracker.assignment)
-    return SolveResult(allocation, allocation_welfare(profile, allocation, f), sum(tracker.near.values()))
+    """Run the welfarist rule for ``f``: :func:`maximize_welfare`'s plain scan, which
+    ranks log-affine ``f`` exactly, as :func:`max_nash_welfare`, and reports welfare under ``f``."""
+    return maximize_welfare(profile, f, budget=budget)

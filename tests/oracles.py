@@ -119,6 +119,16 @@ def best_nash(profile):
     return best_assignment, best_key, ties
 
 
+def nash_members(profile):
+    """Every maximizer of the Nash key, in lexicographic order."""
+    _, best_key, _ = best_nash(profile)
+    return [
+        candidate
+        for candidate in product(range(profile.n), repeat=profile.m)
+        if nash_key(profile, candidate) == best_key
+    ]
+
+
 def _eval(node, x):
     """The recursive float evaluator that ``funcparse.compile_expression`` replaced."""
     if isinstance(node, Num):

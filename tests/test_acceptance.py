@@ -96,12 +96,13 @@ def test_criterion_4_constancy_and_log_fit():
                 assert check.constant and check.spread <= 1e-9
             outcome = fit_log(f, k_max=50, grid=grid, tolerance=1e-9)
             assert outcome.is_log_affine
-            assert abs(outcome.fit.a - a) / a <= 0.02
+            assert abs(outcome.fit.a - a) / a <= 1e-9
             assert outcome.fit.b == f.value(1)
+            assert outcome.fit.max_residual <= 1e-9
     identity = constancy_check(Affine(1, 0), 1, grid, tolerance=1e-9)
     assert not identity.constant
     assert identity.spread >= 0.5
-    report(4, "scaled differences constant for a*ln(x)+b, slope within 2% at k=50, intercept exact", started)
+    report(4, "scaled differences constant for a*ln(x)+b, slope within 1e-9 relative, intercept exact", started)
 
 
 def test_criterion_5_extension_to_more_agents_preserves_the_violation():

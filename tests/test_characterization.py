@@ -63,9 +63,9 @@ class TestConstancyCheck:
             report = constancy_check(f, k, [0.5, 1, 2, 5], tolerance=1e-9)
             assert report.constant
             assert report.level == pytest.approx(3 * math.log(1 + 1 / k), abs=1e-12)
-        # the slope estimate k*level converges like O(1/k): at k=5 it is
-        # 15*ln(6/5) = 2.7348, still 8.8% below 3; only k around 50 is
-        # within 2%
+            assert report.level / math.log1p(1 / k) == pytest.approx(3, rel=1e-12)
+        # whereas k*level only converges like O(1/k): at k=5 it is
+        # 15*ln(6/5) = 2.7348, still 8.8% below 3
         level5 = constancy_check(f, 5, [0.5, 1, 2, 5], tolerance=1e-9).level
         assert 5 * level5 == pytest.approx(15 * math.log(1.2), abs=1e-9)
         assert abs(5 * level5 - 3) / 3 > 0.05
@@ -84,10 +84,9 @@ class TestFitLog:
         outcome = fit_log(LogAffine(3, 2), k_max=50, grid=[0.5, 1, 2, 5, 10])
         assert outcome.is_log_affine
         fit = outcome.fit
-        assert abs(fit.a - 3) / 3 <= 0.02
+        assert abs(fit.a - 3) / 3 <= 1e-9
         assert fit.b == 2.0
-        # the worst residual on this grid is (3 - 50*level)*ln(10) = 0.068
-        assert fit.max_residual <= 0.07
+        assert fit.max_residual <= 1e-9
 
     def test_identity_fails_at_k_one(self):
         outcome = fit_log(Affine(1, 0), k_max=5, grid=[1, 2])

@@ -40,6 +40,7 @@ from fairalloc.welfarist import (
     ExtendedWelfare,
     LogAffine,
     Power,
+    SolveResult,
     WelfareFunction,
     _Terms,
     _terms,
@@ -96,8 +97,20 @@ def check_pareto(profile, allocation):
         assert verdict.dominator.assignment == dominators[0]
 
 
+def best_of(profile, f):
+    """The oracle's first maximizer, its -inf count and its float welfare: the
+    Nash key ranks log-affine ``f`` exactly, float sums rank any other ``f``."""
+    if not isinstance(f, LogAffine):
+        return oracles.best_welfare(profile, f.value)
+    assignment = oracles.best_nash(profile)[0]
+    return next(row for row in oracles.welfare_table(profile, f.value) if row[0] == assignment)
+
+
 def band_of(profile, f):
-    """Every allocation within the tie band of the oracle's maximum, in order."""
+    """Every maximizer in order: the exact Nash ties for log-affine ``f``, else
+    every allocation within the tie band of the oracle's maximum."""
+    if isinstance(f, LogAffine):
+        return oracles.nash_members(profile)
     _, best_neg, best_finite = oracles.best_welfare(profile, f.value)
     return [
         candidate
@@ -185,7 +198,7 @@ class TestWelfareScans:
     @example(Profile([["1/3"], ["1/2"]]), LogAffine())
     @settings(max_examples=120, deadline=None)
     def test_both_methods_match_oracle_on_rationals(self, profile, f):
-        assignment, neg, finite = oracles.best_welfare(profile, f.value)
+        assignment, neg, finite = best_of(profile, f)
         band = band_of(profile, f)
         for method in ("exhaustive", "branch-and-bound"):
             result = maximize_welfare(profile, f, method=method)
@@ -292,11 +305,10 @@ def outcome(call):
 
 
 def leaf_order_welfare(profile, f):
-    """First maximizer, -inf count, float welfare bits, tie count and band
-    members, one allocation at a time in lexicographic order."""
-    table = oracles.welfare_table(profile, f.value)
-    assignment, neg, finite = oracles.best_welfare(profile, f.value)
-    band = [a for a, k, v in table if k == neg and v >= finite - TIE_TOLERANCE]
+    """First maximizer, -inf count, float welfare bits, tie count and
+    maximizers, one allocation at a time in lexicographic order."""
+    assignment, neg, finite = best_of(profile, f)
+    band = band_of(profile, f)
     return assignment, neg, finite.hex(), len(band), band
 
 
@@ -350,6 +362,41 @@ class TestBlocks:
         for size in block_sizes(profile):
             with mock.patch.object(model, "_BLOCK", size):
                 assert maximize_welfare(profile, f, method="branch-and-bound") == expected
+
+    @given(huge_profiles(max_goods=7), st.sampled_from((Affine(1, 0), Power(Fraction(1, 2)))))
+    @example(Profile([[7, 2**53, 3, 2**53, 3, 3002399751580330], [2, 1, 3, 1, 3, 3002399751580330],
+                      [3, 1, 2**53, 1, 2, 1]]), Affine(1, 0))  # a prefix bound within rounding of the band
+    @settings(max_examples=100, deadline=None)
+    def test_branch_and_bound_matches_the_scan_up_to_2_pow_60(self, profile, f):
+        expected = maximize_welfare(profile, f)
+        for size in (1, 256):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert maximize_welfare(profile, f, method="branch-and-bound") == expected
+
+
+LOG_AFFINE = (LogAffine(), LogAffine(2, -1), LogAffine(Fraction(1, 2), 3))
+
+
+class TestOneNashPath:
+    """Every entry point ranks a log-affine ``f`` by the exact Nash key, so all
+    of them give the oracle's answer."""
+
+    @given(block_profiles(), st.sampled_from(LOG_AFFINE))
+    @example(Profile([[0, 0, 0], [0, 1, 999998112]]), LogAffine())  # ln(999998113/999998112) < 1e-9
+    @example(Profile([[1, 9, 6, 0, 4], [2, 4, 1, 0, 2]]), LogAffine())  # a later tie's ln sum is 1 ulp larger
+    @settings(max_examples=150, deadline=None)
+    def test_every_entry_point_gives_the_oracles_answer(self, profile, f):
+        assignment, neg, finite = best_of(profile, f)
+        members = oracles.nash_members(profile)
+        expected = SolveResult(Allocation(assignment), ExtendedWelfare(neg, finite), len(members))
+        assert solve(profile, f) == expected
+        for method in ("exhaustive", "branch-and-bound"):
+            assert maximize_welfare(profile, f, method=method) == expected
+        assert welfare_maximizers(profile, f) == (expected, tuple(map(Allocation, members)))
+        nash = max_nash_welfare(profile)
+        assert (nash.allocation, nash.maximizer_set_size) == (expected.allocation, len(members))
+        if f == LogAffine():
+            assert nash == expected
 
 
 @dataclass(frozen=True)
