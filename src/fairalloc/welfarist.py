@@ -4,16 +4,17 @@ An additive welfarist rule applies an increasing function ``f``, defined by
 its exact expression tree that ``value`` compiles to floats, to each agent's
 bundle utility and picks an allocation maximizing the sum.  Every entry point
 ranks a log-affine ``f`` (maximum Nash welfare) by exact rational products
-instead of float log sums, so its argmax and tie count are immune to
-rounding; any other ``f`` is ranked by float sums within a tie band.  Every
-solver breaks ties by the lexicographically smallest assignment vector.
+instead of float log sums, and an affine ``f`` (utilitarian welfare) in closed
+form, by giving each good to an agent who values it most, so their argmax and
+tie count are immune to rounding; any other ``f`` is ranked by float sums
+within a tie band.  Every solver breaks ties by the lexicographically smallest
+assignment vector.
 
-All solvers walk the shared integer kernel of :mod:`fairalloc.model`, a
-prefix walk that hands over the allocations of the last goods as one block
-per prefix, in one scan that differs only in the key it builds a column at a
+The scans walk the shared integer kernel of :mod:`fairalloc.model`, a prefix
+walk that hands over the allocations of the last goods as one block per
+prefix, in one scan that differs only in the key it builds a column at a
 time.  A scan memoizes each agent's column by its prefix total, up to a cap;
-the float scans keep ``f(t / L)`` per integer total ``t`` across calls;
-branch-and-bound prunes prefixes.
+the float scans keep ``f(t / L)`` per integer total ``t`` across calls.
 """
 
 import math
@@ -21,7 +22,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, partial, reduce, total_ordering
+from functools import cached_property, partial, reduce
 from itertools import compress, product, repeat
 from operator import add, le, mul
 
@@ -48,8 +49,9 @@ from .model import (
 
 NEG_INF = float("-inf")
 
-#: Absolute tolerance on float welfare used to detect ties; ordering itself
-#: is strict comparison.
+#: Absolute tolerance on float welfare used to detect ties among the maximizers
+#: of an ``f`` that is neither log-affine nor affine; ordering itself is strict
+#: comparison.
 TIE_TOLERANCE = 1e-9
 
 #: Grid on which custom expressions are validated to be strictly increasing.
@@ -114,10 +116,6 @@ class WelfareFunction:
     def ast(self) -> Expression:
         raise NotImplementedError(f"{type(self).__name__} supplies no expression tree")
 
-    def is_concave(self) -> bool:
-        """Whether the solver may use the concavity-based pruning bound."""
-        return False
-
 
 @dataclass(frozen=True)
 class LogAffine(WelfareFunction):
@@ -131,9 +129,6 @@ class LogAffine(WelfareFunction):
 
     def ast(self) -> Expression:
         return BinOp("+", BinOp("*", Num(self.a), Call("ln", Var())), Num(self.b))
-
-    def is_concave(self) -> bool:
-        return True
 
     def __str__(self):
         return "log" if (self.a, self.b) == (1, 0) else f"log:{self.a},{self.b}"
@@ -152,9 +147,6 @@ class Affine(WelfareFunction):
     def ast(self) -> Expression:
         return BinOp("+", BinOp("*", Num(self.a), Var()), Num(self.b))
 
-    def is_concave(self) -> bool:
-        return True
-
     def __str__(self):
         return f"affine:{self.a},{self.b}"
 
@@ -170,9 +162,6 @@ class Power(WelfareFunction):
 
     def ast(self) -> Expression:
         return BinOp("^", Var(), Num(self.p))
-
-    def is_concave(self) -> bool:
-        return self.p <= 1
 
     def __str__(self):
         return f"power:{self.p}"
@@ -267,14 +256,9 @@ def _parse_params(spec, args, count, defaults):
     return tuple(values)
 
 
-@total_ordering
 @dataclass(frozen=True)
 class ExtendedWelfare:
-    """Welfare with -inf terms counted separately.
-
-    Fewer -inf terms is strictly greater; equal counts compare by the finite
-    sum.  This is a total order.
-    """
+    """Welfare with -inf terms counted separately: their number and the sum of the finite terms."""
 
     neg_inf_count: int
     finite_part: float
@@ -282,13 +266,6 @@ class ExtendedWelfare:
     def __post_init__(self):
         if self.neg_inf_count < 0:
             raise ValueError("neg_inf_count must be nonnegative")
-
-    def __lt__(self, other):
-        if not isinstance(other, ExtendedWelfare):
-            return NotImplemented
-        if self.neg_inf_count != other.neg_inf_count:
-            return self.neg_inf_count > other.neg_inf_count
-        return self.finite_part < other.finite_part
 
     @property
     def finite(self) -> bool:
@@ -315,9 +292,10 @@ class SolveResult:
     and the number of maximizers.
 
     For log-affine ``f`` these are the exact ties of the Nash key (see
-    :func:`max_nash_welfare`).  For any other ``f`` they are the allocations
-    within :data:`TIE_TOLERANCE` of the maximum finite part, with the same
-    number of -inf terms; the maximum itself is found by strict comparison.
+    :func:`max_nash_welfare`); for affine ``f``, the allocations that give each
+    good to an agent who values it most.  For any other ``f`` they are the
+    allocations within :data:`TIE_TOLERANCE` of the maximum finite part, with
+    the same number of -inf terms; the maximum itself is found by strict comparison.
     """
 
     allocation: Allocation
@@ -403,13 +381,13 @@ class _TieTracker:
                 self.members.append((key, prefix + suffixes[k]))
 
 
-def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, prune=None):
+def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary):
     """Offer every allocation of the kernel's walk to ``tracker`` under the key ``(primary -
     number of agents whose term is excluded, the others' terms combined in agent order)``.
     An agent's terms are computed once per bundle of the last goods and gathered into a
     column per block.  The scan's :func:`_memo` keeps an agent's column and excluded terms'
     flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs."""
-    suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
+    suffixes, gathers, bundles, prefixes = _blocks(rows)
 
     def build(agent, total):
         gather, terms = gathers[agent], [term(total + value) for value in bundles[agent]]
@@ -445,55 +423,30 @@ def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, prune
             tracker.offer_block(prefix, suffixes, primary, keys)
 
 
-def _concavity_prune(rows, terms, tracker):
-    """Branch-and-bound's prefix test for concave ``f`` with finite ``f(0)``: true when no
-    completion of the prefix can reach the running maximum's tie band.  The bound adds
-    to the agents' terms, per remaining good, the best single-good gain any agent could
-    realize (valid since ``f`` is concave), and must fall below the band by more than
-    ``2(n+m)*2^-52`` times its summands' magnitudes, which bounds the rounding of the
-    terms, of the bound's sum and of any completion's sum in agent order.  The bound
-    plus ``offset`` covers those magnitudes, as every term is at least ``f(0)``."""
-    n, m = len(rows), len(rows[0])
-    relative, offset = 2 * (n + m) * 2.0**-52, 2 * n * max(0.0, -terms[0])
-
-    def prune(t, totals):
-        if tracker.best is None:
-            return False
-        current = [terms[total] for total in totals]
-        upper = sum(current)
-        for good in range(t, m):
-            gain = 0.0
-            for i, term in enumerate(current):
-                candidate = terms[totals[i] + rows[i][good]] - term
-                if candidate > gain:
-                    gain = candidate
-            upper += gain
-        return upper < tracker.floor - relative * (upper + offset)
-
-    return prune
-
-
-def _scan_welfare(profile, f, budget, keep_members=False, bounded=False):
-    """The one scan behind every solver.  Log-affine ``f`` is ranked by the exact Nash
-    key, with no tie band; any other ``f`` by its float terms summed in agent order,
-    where ``bounded`` prunes with the concavity bound if ``f(0)`` (so every term) is finite.
-    Either way the welfare equals :func:`allocation_welfare` of the first maximizer."""
+def _scan_welfare(profile, f, budget, keep_members=False):
+    """The one ranking behind every solver, once the budget is checked.  Affine ``f`` has
+    ``a > 0``, so its welfare is ``a/L`` times the value of each good to its owner, plus
+    ``n*b``: its maximizers give each good to any of the agents who value it most, and the
+    first one to the smallest.  Log-affine ``f`` is ranked by the exact Nash key, with no
+    tie band; any other ``f`` by its float terms summed in agent order.  The welfare is
+    :func:`allocation_welfare` of the first maximizer; ``members``, if kept, lists every one."""
     rows, scale = _scaled_rows(profile, budget)
-    if isinstance(f, LogAffine):
-        tracker = _TieTracker(0, keep_members)
-        _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
-        allocation = Allocation(tracker.assignment)
-        welfare = allocation_welfare(profile, allocation, f)
+    if isinstance(f, Affine):
+        winners = [list(compress(range(profile.n), map(max(column).__eq__, column))) for column in zip(*rows)]
+        assignment, count = tuple(agents[0] for agents in winners), math.prod(map(len, winners))
+        members = list(product(*winners)) if keep_members else None
     else:
-        terms = _terms(f, scale)
-        tracker = _TieTracker(TIE_TOLERANCE, keep_members)
-        prune = _concavity_prune(rows, terms, tracker) if bounded and terms[0] > NEG_INF else None
-        _scan_blocks(rows, tracker, term=terms.__getitem__, excluded=NEG_INF, neutral=0.0,
-                     combine=add, primary=0, prune=prune)
-        allocation = Allocation(tracker.assignment)
-        neg_inf, finite = tracker.best  # allocation_welfare's sum but for the sign of a zero sum
-        welfare = ExtendedWelfare(-neg_inf, finite + 0.0)
-    return SolveResult(allocation, welfare, sum(tracker.near.values())), tracker.members
+        if isinstance(f, LogAffine):
+            tracker = _TieTracker(0, keep_members)
+            _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
+        else:
+            tracker = _TieTracker(TIE_TOLERANCE, keep_members)
+            _scan_blocks(rows, tracker, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0,
+                         combine=add, primary=0)
+        assignment, count = tracker.assignment, sum(tracker.near.values())
+        members = None if tracker.members is None else [member for _, member in tracker.members]
+    allocation = Allocation(assignment)
+    return SolveResult(allocation, allocation_welfare(profile, allocation, f), count), members
 
 
 def maximize_welfare(
@@ -504,18 +457,15 @@ def maximize_welfare(
     method: str = "exhaustive",
 ) -> SolveResult:
     """Maximize the additive welfare over all allocations; log-affine ``f`` is
-    maximum Nash welfare, ranked exactly (see :func:`max_nash_welfare`).
+    maximum Nash welfare, ranked exactly (see :func:`max_nash_welfare`), and
+    affine ``f`` is ranked exactly in closed form.
 
-    ``method`` is ``"exhaustive"`` (plain scan) or ``"branch-and-bound"``;
-    both return identical results, the latter merely prunes prefixes that
-    provably cannot reach the running maximum's tie band.  The bound holds
-    only for concave ``f`` with finite ``f(0)``; for any other ``f``, log-affine
-    ones included, branch-and-bound scans.
+    ``method`` is ``"exhaustive"`` or ``"branch-and-bound"``; it is validated
+    and has no effect, as both run the same ranking.
     """
     if method not in ("exhaustive", "branch-and-bound"):
         raise ValueError(f"unknown solve method {method!r}")
-    bounded = method == "branch-and-bound" and f.is_concave()
-    return _scan_welfare(profile, f, budget, bounded=bounded)[0]
+    return _scan_welfare(profile, f, budget)[0]
 
 
 def welfare_maximizers(
@@ -527,11 +477,12 @@ def welfare_maximizers(
     """Like :func:`maximize_welfare`, but also return the whole maximizer set.
 
     The second element lists every maximizer in lexicographic order: the exact
-    ties of the Nash key for log-affine ``f``, every allocation within the tie
-    band otherwise.  Its length equals ``maximizer_set_size``.
+    ties of the Nash key for log-affine ``f``, every allocation that gives each
+    good to an agent who values it most for affine ``f``, every allocation
+    within the tie band otherwise.  Its length equals ``maximizer_set_size``.
     """
     result, members = _scan_welfare(profile, f, budget, keep_members=True)
-    return result, tuple(Allocation(assignment) for _, assignment in members)
+    return result, tuple(map(Allocation, members))
 
 
 def max_nash_welfare(
@@ -557,6 +508,6 @@ def solve(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SolveResult:
-    """Run the welfarist rule for ``f``: :func:`maximize_welfare`'s plain scan, which
-    ranks log-affine ``f`` exactly, as :func:`max_nash_welfare`, and reports welfare under ``f``."""
+    """Run the welfarist rule for ``f``: :func:`maximize_welfare`, which ranks log-affine ``f``
+    exactly, as :func:`max_nash_welfare`, and affine ``f`` exactly, and reports welfare under ``f``."""
     return maximize_welfare(profile, f, budget=budget)

@@ -99,6 +99,18 @@ def best_welfare(profile, value_fn):
     return candidate, -neg_key, finite
 
 
+def best_utilitarian(profile):
+    """Lexicographically-first maximizer of the exact utilitarian total, the tie
+    count, and every maximizer in lexicographic order."""
+    table = [
+        (candidate, sum(utilities_of(profile, candidate)))
+        for candidate in product(range(profile.n), repeat=profile.m)
+    ]
+    best = max(total for _, total in table)
+    members = [candidate for candidate, total in table if total == best]
+    return members[0], len(members), members
+
+
 def nash_key(profile, assignment):
     """(number of positive-utility agents, exact product of their utilities)."""
     positive = [u for u in utilities_of(profile, assignment) if u > 0]

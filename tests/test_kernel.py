@@ -1,7 +1,7 @@
 """The shared enumeration kernel, checked against the brute-force oracles.
 
-Every exact scan (the welfare solvers, branch-and-bound, the Nash solver and
-the Pareto check) walks the allocations through one integer-scaled kernel,
+Every exact scan (the welfare solvers, the Nash solver and the Pareto check)
+walks the allocations through one integer-scaled kernel,
 which walks a prefix of the goods and hands the rest over as one block per
 prefix.  These tests feed it rational profiles whose rows have different
 denominators, with zeros that leave some agent at utility 0, and compare
@@ -99,18 +99,25 @@ def check_pareto(profile, allocation):
 
 def best_of(profile, f):
     """The oracle's first maximizer, its -inf count and its float welfare: the
-    Nash key ranks log-affine ``f`` exactly, float sums rank any other ``f``."""
-    if not isinstance(f, LogAffine):
+    Nash key ranks log-affine ``f`` exactly, the exact total ranks affine ``f``,
+    float sums rank any other ``f``."""
+    if isinstance(f, LogAffine):
+        assignment = oracles.best_nash(profile)[0]
+    elif isinstance(f, Affine):
+        assignment = oracles.best_utilitarian(profile)[0]
+    else:
         return oracles.best_welfare(profile, f.value)
-    assignment = oracles.best_nash(profile)[0]
     return next(row for row in oracles.welfare_table(profile, f.value) if row[0] == assignment)
 
 
 def band_of(profile, f):
-    """Every maximizer in order: the exact Nash ties for log-affine ``f``, else
-    every allocation within the tie band of the oracle's maximum."""
+    """Every maximizer in order: the exact Nash ties for log-affine ``f``, the
+    exact ties of the total for affine ``f``, else every allocation within the
+    tie band of the oracle's maximum."""
     if isinstance(f, LogAffine):
         return oracles.nash_members(profile)
+    if isinstance(f, Affine):
+        return oracles.best_utilitarian(profile)[2]
     _, best_neg, best_finite = oracles.best_welfare(profile, f.value)
     return [
         candidate
@@ -397,6 +404,62 @@ class TestOneNashPath:
         assert (nash.allocation, nash.maximizer_set_size) == (expected.allocation, len(members))
         if f == LogAffine():
             assert nash == expected
+
+
+AFFINE = (Affine(1, 0), Affine(2, -1), Affine(Fraction(1, 3), 5))
+FLOAT_SUMS_GOT_WRONG = [  # each good to an agent who values it most; float sums chose otherwise
+    # (1,2,0,2) totals 1 less than (1,0,0,2), but float sums do not show it
+    ([[2, 2, 2**53, 1], [3, 2, 2, 1], [2, 1, 3, 3002399751580330]], Affine(1, 0), (1, 0, 0, 2), 2),
+    # a later exact tie's float sum is 1 ulp larger
+    ([[3, "3/7", 2], ["4/3", "7/12", 2]], Affine(1, 0), (0, 1, 0), 2),
+    ([[9, 4, 7, 4, 1], [7, 4, 0, 9, 2], [5, 4, 5, 5, 4]], Affine(Fraction(1, 3), 5), (0, 0, 0, 1, 2), 3),
+]
+
+
+def every_entry_point(profile, f):
+    """``solve``, ``maximize_welfare`` under both methods and ``welfare_maximizers``,
+    after checking that they agree; the answer is ``(SolveResult, maximizers)``."""
+    result, members = welfare_maximizers(profile, f)
+    assert solve(profile, f) == result
+    for method in ("exhaustive", "branch-and-bound"):
+        assert maximize_welfare(profile, f, method=method) == result
+    return result, members
+
+
+class TestOneUtilitarianPath:
+    """Every entry point ranks an affine ``f`` in closed form, by giving each good to
+    an agent who values it most, so all of them give the exact oracle's answer."""
+
+    @given(st.one_of(rational_profiles(), huge_profiles()), st.sampled_from(AFFINE))
+    @example(Profile(FLOAT_SUMS_GOT_WRONG[0][0]), FLOAT_SUMS_GOT_WRONG[0][1])
+    @example(Profile(FLOAT_SUMS_GOT_WRONG[1][0]), FLOAT_SUMS_GOT_WRONG[1][1])
+    @example(Profile(FLOAT_SUMS_GOT_WRONG[2][0]), FLOAT_SUMS_GOT_WRONG[2][1])
+    @example(Profile([[], []]), Affine(1, 0))  # no goods: one empty allocation
+    @example(Profile([[1, 0, "1/2"]]), Affine(2, -1))  # one agent
+    @example(Profile([[0, 1], [0, 2], [0, 0]]), Affine(Fraction(1, 3), 5))  # nobody values good 0
+    @settings(max_examples=150, deadline=None)
+    def test_every_entry_point_gives_the_oracles_answer(self, profile, f):
+        assignment, ties, members = oracles.best_utilitarian(profile)
+        allocation = Allocation(assignment)
+        expected = SolveResult(allocation, allocation_welfare(profile, allocation, f), ties)
+        assert every_entry_point(profile, f) == (expected, tuple(map(Allocation, members)))
+
+    @pytest.mark.parametrize("rows, f, assignment, ties", FLOAT_SUMS_GOT_WRONG)
+    def test_where_float_sums_chose_another_allocation(self, rows, f, assignment, ties):
+        profile = Profile(rows)
+        assert oracles.best_utilitarian(profile)[:2] == (assignment, ties)
+        result, members = every_entry_point(profile, f)
+        assert (result.allocation.assignment, result.maximizer_set_size, len(members)) == (assignment, ties, ties)
+
+    def test_the_budget_is_checked_before_any_work(self):
+        profile = Profile([[10**400] * 3] * 3)  # any welfare term overflows
+        with pytest.raises(InvalidWelfareFunctionError, match="too large"):
+            solve(profile, Affine(1, 0), budget=27)
+        for call in (solve, maximize_welfare, welfare_maximizers):
+            with pytest.raises(EnumerationBudgetError):
+                call(profile, Affine(1, 0), budget=26)
+        with pytest.raises(EnumerationBudgetError):
+            maximize_welfare(profile, Affine(1, 0), budget=26, method="branch-and-bound")
 
 
 @dataclass(frozen=True)

@@ -193,26 +193,6 @@ class TestExtendedWelfare:
         w = allocation_welfare(Profile([[3, 0], [0, 3]]), Allocation((0, 1)), LogAffine())
         assert w.finite_part == pytest.approx(2 * math.log(3))
 
-    def test_fewer_neg_inf_wins(self):
-        assert ExtendedWelfare(0, -100.0) > ExtendedWelfare(1, 100.0)
-        assert ExtendedWelfare(1, 2.0) > ExtendedWelfare(1, 1.0)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.floats(-50, 50)),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    def test_total_order(self, triples):
-        a, b, c = [ExtendedWelfare(n, f) for n, f in triples]
-        # antisymmetry
-        assert not (a < b and b < a)
-        assert (a < b or b < a or a == b)
-        # transitivity
-        if a < b and b < c:
-            assert a < c
-
 
 class TestMaximizeWelfare:
     def test_utilitarian_example(self):
