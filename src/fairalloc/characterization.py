@@ -10,9 +10,9 @@ log-affine parameter fit built on it, and the instance construction with an
 exhaustive verification of the failure.
 
 The constancy test and the fit sample ``d_k`` in floats under a tolerance;
-the search compares ``d_k`` values by certified signs from rational
-enclosures of ``f``, so for log-affine ``f`` every comparison ties and no
-instance is built.
+the search compares ``d_k`` values by certified signs, exact in integers for
+a tree recognised as ``a*ln(x) + c`` and from rational enclosures of ``f``
+otherwise, so for log-affine ``f`` every comparison ties and no instance is built.
 """
 
 import logging
@@ -176,12 +176,24 @@ class CounterexampleReport:
     all_maximizers_violate: bool
 
 
+def _log_sign(first, second):
+    """The sign of ``a*ln(p*s / (q*r))`` for ``first = (p, q)``, ``second = (r, s)``,
+    positive rationals, and ``a > 0``: ``p*s`` against ``q*r``, cleared of denominators."""
+    (p, q), (r, s) = first, second
+    left = p.numerator * s.numerator * q.denominator * r.denominator
+    right = q.numerator * r.numerator * p.denominator * s.denominator
+    return (left > right) - (left < right)
+
+
 def _sign_test(f):
-    """``sign(first, second)``: the sign of ``(f(a) - f(b)) - (f(c) - f(d))``
-    for ``first = (a, b)`` and ``second = (c, d)``, from enclosures of ``f``
-    refined over :data:`_DIGITS`, or 0 ("tied") when they still overlap at
-    the last rung.  Enclosures are memoized per (point, rung) for one search."""
+    """``sign(first, second)``: the sign of ``(f(a) - f(b)) - (f(c) - f(d))`` for
+    ``first = (a, b)`` and ``second = (c, d)``, positive rationals: :func:`_log_sign` for
+    a tree recognised as ``a*ln(x) + c``, else from enclosures of ``f`` refined over
+    :data:`_DIGITS`, or 0 ("tied") when they still overlap at the last rung.
+    Enclosures are memoized per (point, rung) for one search."""
     expression = f.ast()
+    if f._form is not None and f._form[0] == "ln":
+        return _log_sign
     at = cache(lambda x, digits: enclose_expression(expression, x, digits))
 
     @cache
@@ -267,8 +279,8 @@ def find_ef1_counterexample(
     builds the exact-rational profile, and certifies the result by exhaustive
     enumeration: the report is returned only if every allocation within the
     welfare tie band fails the one-good-removal check.  Both comparisons are
-    certified signs from enclosures of ``f.ast()``, and pairs they cannot
-    tell apart are skipped, so log-affine ``f`` builds no candidate.
+    certified signs of ``f.ast()``, exact if it is recognised as log-affine, and
+    pairs they cannot tell apart are skipped, so log-affine ``f`` builds no candidate.
     Candidates whose certified gap held but whose verification failed are
     logged, never silently dropped.  Returns the first verified report in
     scan order, or ``None``.

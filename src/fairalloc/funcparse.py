@@ -365,6 +365,69 @@ def enclose_expression(expr: Expression, x, digits: int) -> tuple[Fraction, Frac
     return _enclose(expr, _point(Fraction(x)), digits)
 
 
+#: Most bits the recognizer lets an x-free integer power's numerator or denominator reach.
+_POWER_BITS = 1 << 16
+
+
+def _linear(node):
+    """``(a, g, c)`` with ``node = a*g(x) + c`` on ``x >= 0`` (``-inf`` at 0 included): ``g`` is
+    ``"ln"``, a rational ``p > 0`` for ``x^p``, or ``None`` for a node free of ``x`` (``a = 0``);
+    ``c`` is exact, or ``None`` when only its freedom from ``x`` is proved.  ``None`` when no
+    rule applies: ``ln`` terms never cancel (NaN at 0), and nothing is multiplied by 0."""
+    if isinstance(node, Num):
+        return Fraction(0), None, node.value
+    if isinstance(node, Var):
+        return Fraction(1), Fraction(1), Fraction(0)
+    if isinstance(node, Neg):
+        return _linear(BinOp("*", Num(Fraction(-1)), node.operand))
+    if isinstance(node, Call):
+        a, g, c = _linear(node.operand) or (0, "unknown", 0)
+        if g is None:
+            return Fraction(0), None, None
+        if node.name == "ln" and isinstance(g, Fraction) and a > 0 and c == 0:  # ln(a x^p) = p ln(x) + ln(a)
+            return g, "ln", Fraction(0) if a == 1 else None
+        return None
+    left, right = _linear(node.left), _linear(node.right)
+    if left is None or right is None:
+        return None
+    (a, g, c), (b, h, d) = left, right
+    if g is None and h is None:  # exact where the value is a small rational
+        if c is None or d is None or node.op == "/" and d == 0:
+            return Fraction(0), None, None
+        if node.op != "^":
+            return Fraction(0), None, _ARITHMETIC[node.op](c, d)
+        bits = abs(d) * max(c.numerator.bit_length(), c.denominator.bit_length())
+        small = d.denominator == 1 and bits <= _POWER_BITS and not (c == 0 and d < 0)
+        return Fraction(0), None, c**d if small else None
+    if node.op in "+-":
+        if node.op == "-":
+            b, d = -b, None if d is None else -d
+        if g is not None and h is not None and (g != h or g == "ln" and a * b < 0):
+            return None
+        return a + b, (h if g is None else g) if a + b else None, None if c is None or d is None else c + d
+    if node.op == "*" and g is None:  # the constant factor goes right
+        (a, g, c), (b, h, d) = right, left
+    if node.op in "*/" and h is None and d:
+        k = d if node.op == "*" else 1 / d
+        return a * k, g, None if c is None else c * k
+    if node.op == "^" and isinstance(g, Fraction) and (a, c) == (1, 0) and h is None and d is not None and d > 0:
+        return Fraction(1), g * d, Fraction(0)
+    return None
+
+
+def linear_form(expr: Expression) -> tuple[str, Fraction] | None:
+    """``("ln", a)`` when ``expr`` is ``a*ln(x) + c``, ``("x", a)`` when it is ``a*x + c``, with
+    a rational ``a > 0`` and ``c`` free of ``x``.  Sound, not complete: ``None`` means no proof
+    was found.  No ``ln``, ``exp``, ``sqrt`` or power beyond :data:`_POWER_BITS` is evaluated."""
+    try:
+        form = _linear(expr)
+    except RecursionError:  # deeper than the walk can go: not recognised
+        return None
+    if form is not None and form[0] > 0 and form[1] in ("ln", 1):
+        return ("ln" if form[1] == "ln" else "x"), form[0]
+    return None
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Outcome of a strict-increase check along a grid.

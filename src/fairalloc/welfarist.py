@@ -3,12 +3,12 @@
 An additive welfarist rule applies an increasing function ``f``, defined by
 its exact expression tree that ``value`` compiles to floats, to each agent's
 bundle utility and picks an allocation maximizing the sum.  Every entry point
-ranks a log-affine ``f`` (maximum Nash welfare) by exact rational products
-instead of float log sums, and an affine ``f`` (utilitarian welfare) in closed
-form, by giving each good to an agent who values it most, so their argmax and
-tie count are immune to rounding; any other ``f`` is ranked by float sums
-within a tie band.  Every solver breaks ties by the lexicographically smallest
-assignment vector.
+ranks an ``f`` whose tree :func:`~fairalloc.funcparse.linear_form` recognises as
+``a*ln(x) + c`` (maximum Nash welfare) by exact rational products, and one it
+recognises as ``a*x + c`` (utilitarian welfare) in closed form, by giving each good
+to an agent who values it most, so their argmax and tie count are immune to
+rounding; any other ``f`` is ranked by float sums within a tie band.  Every
+solver breaks ties by the lexicographically smallest assignment vector.
 
 The scans walk the shared integer kernel of :mod:`fairalloc.model`, a prefix
 walk that hands over the allocations of the last goods as one block per
@@ -35,6 +35,7 @@ from .funcparse import (
     Var,
     check_increasing,
     compile_expression,
+    linear_form,
     parse_expression,
 )
 from .model import (
@@ -50,7 +51,7 @@ from .model import (
 NEG_INF = float("-inf")
 
 #: Absolute tolerance on float welfare used to detect ties among the maximizers
-#: of an ``f`` that is neither log-affine nor affine; ordering itself is strict
+#: of an ``f`` not recognised as log-affine or affine; ordering itself is strict
 #: comparison.
 TIE_TOLERANCE = 1e-9
 
@@ -110,8 +111,17 @@ class WelfareFunction:
     def _compiled(self):
         return compile_expression(self.ast())
 
+    @cached_property
+    def _form(self):
+        """The tree's :func:`~fairalloc.funcparse.linear_form`; ``None`` without a tree."""
+        try:
+            tree = self.ast()
+        except NotImplementedError:
+            return None
+        return linear_form(tree)
+
     def __getstate__(self):
-        return {name: item for name, item in vars(self).items() if name != "_compiled"}
+        return {name: item for name, item in vars(self).items() if name not in ("_compiled", "_form")}
 
     def ast(self) -> Expression:
         raise NotImplementedError(f"{type(self).__name__} supplies no expression tree")
@@ -291,9 +301,9 @@ class SolveResult:
     """A welfare-maximizing allocation, its :func:`allocation_welfare` under ``f``,
     and the number of maximizers.
 
-    For log-affine ``f`` these are the exact ties of the Nash key (see
-    :func:`max_nash_welfare`); for affine ``f``, the allocations that give each
-    good to an agent who values it most.  For any other ``f`` they are the
+    For ``f`` recognised as log-affine these are the exact ties of the Nash key (see
+    :func:`max_nash_welfare`); for ``f`` recognised as affine, the allocations that give
+    each good to an agent who values it most.  For any other ``f`` they are the
     allocations within :data:`TIE_TOLERANCE` of the maximum finite part, with
     the same number of -inf terms; the maximum itself is found by strict comparison.
     """
@@ -424,19 +434,20 @@ def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary):
 
 
 def _scan_welfare(profile, f, budget, keep_members=False):
-    """The one ranking behind every solver, once the budget is checked.  Affine ``f`` has
-    ``a > 0``, so its welfare is ``a/L`` times the value of each good to its owner, plus
-    ``n*b``: its maximizers give each good to any of the agents who value it most, and the
-    first one to the smallest.  Log-affine ``f`` is ranked by the exact Nash key, with no
-    tie band; any other ``f`` by its float terms summed in agent order.  The welfare is
+    """The one ranking behind every solver, once the budget is checked, by ``f``'s recognised
+    form.  ``a*x + c`` has ``a > 0``, so its welfare is ``a/L`` times the value of each good to
+    its owner, plus ``n*c``: its maximizers give each good to any of the agents who value it
+    most, and the first one to the smallest.  ``a*ln(x) + c`` is ranked by the exact Nash key,
+    with no tie band; any other ``f`` by its float terms summed in agent order.  The welfare is
     :func:`allocation_welfare` of the first maximizer; ``members``, if kept, lists every one."""
     rows, scale = _scaled_rows(profile, budget)
-    if isinstance(f, Affine):
+    kind = f._form and f._form[0]
+    if kind == "x":
         winners = [list(compress(range(profile.n), map(max(column).__eq__, column))) for column in zip(*rows)]
         assignment, count = tuple(agents[0] for agents in winners), math.prod(map(len, winners))
         members = list(product(*winners)) if keep_members else None
     else:
-        if isinstance(f, LogAffine):
+        if kind == "ln":
             tracker = _TieTracker(0, keep_members)
             _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
         else:
@@ -456,9 +467,9 @@ def maximize_welfare(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     method: str = "exhaustive",
 ) -> SolveResult:
-    """Maximize the additive welfare over all allocations; log-affine ``f`` is
-    maximum Nash welfare, ranked exactly (see :func:`max_nash_welfare`), and
-    affine ``f`` is ranked exactly in closed form.
+    """Maximize the additive welfare over all allocations; ``f`` recognised as
+    log-affine is maximum Nash welfare, ranked exactly (see :func:`max_nash_welfare`),
+    and ``f`` recognised as affine is ranked exactly in closed form.
 
     ``method`` is ``"exhaustive"`` or ``"branch-and-bound"``; it is validated
     and has no effect, as both run the same ranking.
@@ -477,8 +488,8 @@ def welfare_maximizers(
     """Like :func:`maximize_welfare`, but also return the whole maximizer set.
 
     The second element lists every maximizer in lexicographic order: the exact
-    ties of the Nash key for log-affine ``f``, every allocation that gives each
-    good to an agent who values it most for affine ``f``, every allocation
+    ties of the Nash key for recognised log-affine ``f``, every allocation that gives
+    each good to an agent who values it most for recognised affine ``f``, every allocation
     within the tie band otherwise.  Its length equals ``maximizer_set_size``.
     """
     result, members = _scan_welfare(profile, f, budget, keep_members=True)
@@ -508,6 +519,6 @@ def solve(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SolveResult:
-    """Run the welfarist rule for ``f``: :func:`maximize_welfare`, which ranks log-affine ``f``
-    exactly, as :func:`max_nash_welfare`, and affine ``f`` exactly, and reports welfare under ``f``."""
+    """Run the welfarist rule for ``f``: :func:`maximize_welfare`, which ranks recognised log-affine
+    ``f`` exactly, as :func:`max_nash_welfare`, and affine ``f`` exactly, and reports welfare under ``f``."""
     return maximize_welfare(profile, f, budget=budget)

@@ -2,8 +2,10 @@
 
 ``enclose_expression`` must bound the true value at every precision of the
 search's ladder; rational-valued functions must come out exact, without a
-``decimal`` call; and the sign test must call every ``d_k`` comparison of a
-log-affine function a tie.
+``decimal`` call; trees that ``linear_form`` recognises must have the form it
+proves; and the sign test, exact for recognised log-affine trees and from
+enclosures otherwise, must call every ``d_k`` comparison of a log-affine
+function a tie.
 """
 
 import operator
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairalloc import funcparse
-from fairalloc.characterization import DEFAULT_SEARCH_GRID, _DIGITS, _sign_test
+from fairalloc.characterization import DEFAULT_SEARCH_GRID, _DIGITS, _sign_test, find_ef1_counterexample
 from fairalloc.errors import ExpressionEvalError
-from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, enclose_expression, parse_expression
-from fairalloc.welfarist import welfare_function_from_spec
+from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, enclose_expression, linear_form, parse_expression
+from fairalloc.model import Allocation
+from fairalloc.welfarist import CustomExpression, ExtendedWelfare, SolveResult, welfare_function_from_spec
 
 IRRATIONAL_SPECS = [
     "log", "log:1/2,-1", "power:1/2", "exp", "expr:ln(x+1)", "expr:3*ln(x)+2",
@@ -95,12 +98,31 @@ def test_rational_functions_are_exact_without_decimal(spec, x):
             assert enclose_expression(tree, x, digits) == (exact, exact)
 
 
+class Unrecognised(CustomExpression):
+    """The same tree with no recognised form: the search falls back on enclosures."""
+
+    _form = None
+
+
+def unrecognised(f):
+    return Unrecognised(f.ast(), str(f))
+
+
+def ties_every_grid_pair(sign):
+    return all(
+        sign(((k + 1) * a, k * a), ((k + 1) * b, k * b)) == 0
+        for k in range(1, 6) for a, b in combinations(DEFAULT_SEARCH_GRID, 2)
+    )
+
+
 @pytest.mark.parametrize("spec", LOG_AFFINE_SPECS)
 def test_sign_test_ties_every_log_affine_grid_pair(spec):
-    sign = _sign_test(welfare_function_from_spec(spec))
-    for k in range(1, 6):
-        for a, b in combinations(DEFAULT_SEARCH_GRID, 2):
-            assert sign(((k + 1) * a, k * a), ((k + 1) * b, k * b)) == 0
+    assert ties_every_grid_pair(_sign_test(welfare_function_from_spec(spec)))
+
+
+@pytest.mark.parametrize("spec", LOG_AFFINE_SPECS)
+def test_enclosures_tie_every_log_affine_grid_pair_without_recognition(spec):
+    assert ties_every_grid_pair(_sign_test(unrecognised(welfare_function_from_spec(spec))))
 
 
 @pytest.mark.parametrize("spec", ["affine:1,0", "power:2", "power:1/2", "exp", "expr:ln(x+1)"])
@@ -125,3 +147,104 @@ def test_enclosure_errors_are_expression_errors():
         enclose_expression(parse_expression("ln(x-1)"), Fraction(1, 2), _DIGITS[0])
     with pytest.raises(ExpressionEvalError, match="division by zero"):
         enclose_expression(parse_expression("1/(x-1)"), Fraction(1), _DIGITS[0])
+
+
+def _constant_terms(draw):
+    """An x-free tree with an exact or an irrational value."""
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+    return draw(st.one_of(
+        st.builds(Num, small),
+        st.builds(lambda v: Call("ln", Num(v)), st.integers(1, 9).map(Fraction)),
+        st.builds(lambda v: Call("sqrt", Num(v)), st.integers(0, 9).map(Fraction)),
+        st.builds(lambda v, e: BinOp("^", Num(v), Num(e)), st.integers(1, 5).map(Fraction), st.integers(-3, 3).map(Fraction)),
+    ))
+
+
+@st.composite
+def linear_trees(draw, max_steps=4):
+    """``ln`` of ``x``, ``k*x`` or ``x^q``, or ``x`` itself, put through steps that
+    keep the form: adding constants, scaling by nonzero constants, negating twice,
+    and adding two trees of the same form and slope sign."""
+    positive = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)
+    base = draw(st.sampled_from(["x", "ln(x)", "ln(k*x)", "ln(x^q)"]))
+    tree = {
+        "x": Var(),
+        "ln(x)": Call("ln", Var()),
+        "ln(k*x)": Call("ln", BinOp("*", Num(draw(positive)), Var())),
+        "ln(x^q)": Call("ln", BinOp("^", Var(), Num(draw(positive)))),
+    }[base]
+    for _ in range(draw(st.integers(0, max_steps))):
+        step = draw(st.sampled_from(["+c", "c+", "-c", "c-", "*k", "k*", "/k", "--", "+same"]))
+        if step in ("+c", "-c"):
+            tree = BinOp(step[0], tree, _constant_terms(draw))
+        elif step == "c+":
+            tree = BinOp("+", _constant_terms(draw), tree)
+        elif step == "c-":  # c - (-tree) = tree + c
+            tree = BinOp("-", _constant_terms(draw), Neg(tree))
+        elif step in ("*k", "/k"):
+            tree = BinOp(step[0], tree, Num(draw(positive)))
+        elif step == "k*":
+            tree = BinOp("*", Num(draw(positive)), tree)
+        elif step == "--":
+            tree = Neg(Neg(tree))
+        else:
+            tree = BinOp("+", tree, tree)
+    return tree
+
+
+@settings(max_examples=120, deadline=None)
+@given(linear_trees(), positive_rationals, positive_rationals)
+def test_recognised_trees_have_the_form_they_are_given(tree, x, y):
+    mpmath = pytest.importorskip("mpmath")
+    form, a = linear_form(tree)
+    digits = max(_DIGITS)
+    if form == "ln":  # f(2x) - f(x) = a*ln 2
+        (lo2, hi2), (lo1, hi1) = enclose_expression(tree, 2 * x, digits), enclose_expression(tree, x, digits)
+        with mpmath.workdps(digits + 20):
+            expected = mpmath.mpf(a.numerator) / a.denominator * mpmath.log(2)
+            lo, hi = lo2 - hi1, hi2 - lo1
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= expected <= mpmath.mpf(hi.numerator) / hi.denominator
+    else:  # f(x) - a*x is the same constant at x and y
+        (lo_x, hi_x), (lo_y, hi_y) = (enclose_expression(tree, t, digits) for t in (x, y))
+        assert lo_x - a * x <= hi_y - a * y and lo_y - a * y <= hi_x - a * x
+
+
+@st.composite
+def point_pairs(draw):
+    """``((p, q), (r, s))``, positive rationals, about half of them exact ties ``p*s == q*r``."""
+    p, q, r = (draw(positive_rationals) for _ in range(3))
+    s = draw(st.one_of(positive_rationals, st.just(q * r / p)))
+    return (p, q), (r, s)
+
+
+@pytest.mark.parametrize("spec", LOG_AFFINE_SPECS + ["expr:ln(x)/2-3", "expr:ln(x^2)"])
+@settings(max_examples=60, deadline=None)
+@given(pairs=point_pairs())
+def test_the_exact_sign_agrees_with_every_enclosure_that_decides(spec, pairs):
+    f = welfare_function_from_spec(spec)
+    exact = _sign_test(f)(*pairs)
+    (p, q), (r, s) = pairs
+    assert exact == (p * s > q * r) - (p * s < q * r)
+    enclosed = _sign_test(unrecognised(f))(*pairs)
+    assert enclosed in (0, exact)
+
+
+SEARCH_SPECS_AT_THE_PARENT = {
+    # the benchmark's nine: the first found (k, y, z, discount) and the solve result on that profile
+    "affine:1,0": 2.25, "power:2": 4.0625, "power:1/2": 1.9142135623730951, "expr:x^2+x": 6.3125,
+    "expr:ln(x+1)": 1.3217558399823195,
+    "log": None, "log:1/2,-1": None, "log:3,2": None, "expr:3*ln(x)+2": None,
+    "expr:ln(x)+x/10^12": None,  # not log-affine, but every candidate has an EF1 tied maximizer
+    "expr:ln(2*x)": None, "expr:ln(x)/2-3": None,
+}
+
+
+@pytest.mark.parametrize("spec, welfare", SEARCH_SPECS_AT_THE_PARENT.items())
+def test_the_search_finds_what_it_found_with_enclosures_alone(spec, welfare):
+    report = find_ef1_counterexample(welfare_function_from_spec(spec))
+    if welfare is None:
+        assert report is None
+        return
+    assert (report.k, report.agent0_value, report.agent1_value, report.discount) == (
+        1, Fraction(1), Fraction(1, 2), Fraction(1, 4))
+    assert report.solve == SolveResult(Allocation((1, 0, 0)), ExtendedWelfare(0, welfare), 1)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,10 @@ from fairalloc.funcparse import (
     check_increasing,
     compile_expression,
     evaluate_expression,
+    linear_form,
     parse_expression,
 )
+from fairalloc.welfarist import welfare_function_from_spec
 
 
 class TestParsing:
@@ -241,3 +244,52 @@ class TestIncreasingCheck:
     def test_evaluation_errors_propagate(self):
         with pytest.raises(ExpressionEvalError):
             check_increasing(parse_expression("sqrt(x-10)"), [1.0, 2.0])
+
+
+class TestLinearForm:
+    """``linear_form`` proves ``a*ln(x) + c`` or ``a*x + c``, or answers None."""
+
+    @pytest.mark.parametrize("text,form,slope", [
+        ("ln(x)", "ln", 1), ("3*ln(x)+2", "ln", 3), ("ln(x^2)", "ln", 2), ("ln(x)/2", "ln", Fraction(1, 2)),
+        ("ln(2*x)", "ln", 1), ("-(1-ln(x))", "ln", 1), ("ln(x)/2-3", "ln", Fraction(1, 2)),
+        ("ln(x^(1/2))", "ln", Fraction(1, 2)), ("ln(x/3)+ln(x)", "ln", 2), ("ln(x)+exp(2)", "ln", 1),
+        ("2^3*ln(x)", "ln", 8), ("neg(neg(ln(x)))", "ln", 1), ("(ln(x)+1)*0.5", "ln", Fraction(1, 2)),
+        ("x", "x", 1), ("x^1", "x", 1), ("2*x+1", "x", 2), ("-(1-x)", "x", 1), ("x/(1/3)", "x", 3),
+        ("(x^2)^(1/2)", "x", 1), ("x+x-x/2", "x", Fraction(3, 2)), ("x*(2-1)^5+sqrt(2)", "x", 1),
+    ])
+    def test_recognised_trees_and_their_slopes(self, text, form, slope):
+        assert linear_form(parse_expression(text)) == (form, slope)
+
+    @pytest.mark.parametrize("text", [
+        "ln(x+1)", "ln(x)+x/10^12", "ln(x)*ln(x)", "x^2+x", "exp(ln(x))", "ln(x)*(1+1/10^6)^(10^6)",
+        "ln(x)-ln(x)+ln(x)",  # NaN at 0, not ln(0) = -inf
+        "ln(x)*0+x", "ln(x)*0+ln(x)",  # NaN at 0 too
+        "-ln(x)", "-x", "x^2", "sqrt(x)", "ln(sqrt(x))", "2^x", "ln(x)^1", "x*x", "x*ln(2)", "1/x",
+        "x^(1-1)", "5", "ln(2)",
+    ])
+    def test_unrecognised_trees(self, text):
+        assert linear_form(parse_expression(text)) is None
+
+    def test_a_huge_constant_power_is_not_evaluated(self):
+        # (1000001/1000000)^(10^6) has some 20 million bits: exact evaluation takes seconds
+        tree = parse_expression("ln(x)*(1+1/10^6)^(10^6)")
+        start = time.perf_counter()
+        assert linear_form(tree) is None
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_tree_deeper_than_the_walk_is_not_recognised(self):
+        assert linear_form(parse_expression("x" + "+x" * 5000)) is None
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(["log", "affine"]),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    )
+    def test_every_built_in_log_or_affine_tree(self, name, a, b):
+        f = welfare_function_from_spec(f"{name}:{a},{b}")
+        assert linear_form(f.ast()) == ({"log": "ln", "affine": "x"}[name], a)
+        assert f._form == linear_form(f.ast())
+
+    def test_the_utilitarian_power(self):
+        assert linear_form(welfare_function_from_spec("power:1").ast()) == ("x", 1)

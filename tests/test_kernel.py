@@ -46,6 +46,7 @@ from fairalloc.welfarist import (
     _terms,
     allocation_welfare,
     solve,
+    welfare_function_from_spec,
     welfare_maximizers,
 )
 
@@ -97,13 +98,18 @@ def check_pareto(profile, allocation):
         assert verdict.dominator.assignment == dominators[0]
 
 
+def form_of(f):
+    """``"ln"`` or ``"x"`` where ``f``'s tree is recognised as log-affine or affine, else None."""
+    return f._form and f._form[0]
+
+
 def best_of(profile, f):
     """The oracle's first maximizer, its -inf count and its float welfare: the
-    Nash key ranks log-affine ``f`` exactly, the exact total ranks affine ``f``,
-    float sums rank any other ``f``."""
-    if isinstance(f, LogAffine):
+    Nash key ranks a recognised log-affine ``f`` exactly, the exact total ranks a
+    recognised affine ``f``, float sums rank any other ``f``."""
+    if form_of(f) == "ln":
         assignment = oracles.best_nash(profile)[0]
-    elif isinstance(f, Affine):
+    elif form_of(f) == "x":
         assignment = oracles.best_utilitarian(profile)[0]
     else:
         return oracles.best_welfare(profile, f.value)
@@ -111,12 +117,12 @@ def best_of(profile, f):
 
 
 def band_of(profile, f):
-    """Every maximizer in order: the exact Nash ties for log-affine ``f``, the
-    exact ties of the total for affine ``f``, else every allocation within the
-    tie band of the oracle's maximum."""
-    if isinstance(f, LogAffine):
+    """Every maximizer in order: the exact Nash ties for a recognised log-affine
+    ``f``, the exact ties of the total for a recognised affine ``f``, else every
+    allocation within the tie band of the oracle's maximum."""
+    if form_of(f) == "ln":
         return oracles.nash_members(profile)
-    if isinstance(f, Affine):
+    if form_of(f) == "x":
         return oracles.best_utilitarian(profile)[2]
     _, best_neg, best_finite = oracles.best_welfare(profile, f.value)
     return [
@@ -381,16 +387,24 @@ class TestBlocks:
                 assert maximize_welfare(profile, f, method="branch-and-bound") == expected
 
 
-LOG_AFFINE = (LogAffine(), LogAffine(2, -1), LogAffine(Fraction(1, 2), 3))
+LOG_AFFINE = (
+    LogAffine(), LogAffine(2, -1), LogAffine(Fraction(1, 2), 3),
+    *map(welfare_function_from_spec, ("expr:ln(x)", "expr:3*ln(x)+2", "expr:ln(x^2)")),
+)
+NEAR_TIE = Profile([[0, 0, 0], [0, 1, 999998112]])  # ln(999998113/999998112) < 1e-9
+ULP_LATER = Profile([[1, 9, 6, 0, 4], [2, 4, 1, 0, 2]])  # a later tie's ln sum is 1 ulp larger
 
 
 class TestOneNashPath:
-    """Every entry point ranks a log-affine ``f`` by the exact Nash key, so all
-    of them give the oracle's answer."""
+    """Every entry point ranks a log-affine ``f``, in any recognised spelling, by the
+    exact Nash key, so all of them give the oracle's answer."""
 
     @given(block_profiles(), st.sampled_from(LOG_AFFINE))
-    @example(Profile([[0, 0, 0], [0, 1, 999998112]]), LogAffine())  # ln(999998113/999998112) < 1e-9
-    @example(Profile([[1, 9, 6, 0, 4], [2, 4, 1, 0, 2]]), LogAffine())  # a later tie's ln sum is 1 ulp larger
+    @example(NEAR_TIE, LogAffine())
+    @example(ULP_LATER, LogAffine())
+    @example(NEAR_TIE, LOG_AFFINE[3])  # float sums counted 4 maximizers for expr:ln(x)
+    @example(ULP_LATER, LOG_AFFINE[3])  # float sums chose (1, 1, 0, 0, 0) for expr:ln(x)
+    @example(ULP_LATER, LOG_AFFINE[5])  # and for expr:ln(x^2)
     @settings(max_examples=150, deadline=None)
     def test_every_entry_point_gives_the_oracles_answer(self, profile, f):
         assignment, neg, finite = best_of(profile, f)
@@ -406,13 +420,19 @@ class TestOneNashPath:
             assert nash == expected
 
 
-AFFINE = (Affine(1, 0), Affine(2, -1), Affine(Fraction(1, 3), 5))
+AFFINE = (
+    Affine(1, 0), Affine(2, -1), Affine(Fraction(1, 3), 5),
+    *map(welfare_function_from_spec, ("expr:x", "power:1", "expr:2*x+1")),
+)
+NEAR_2_POW_53 = [[2, 2, 2**53, 1], [3, 2, 2, 1], [2, 1, 3, 3002399751580330]]
 FLOAT_SUMS_GOT_WRONG = [  # each good to an agent who values it most; float sums chose otherwise
     # (1,2,0,2) totals 1 less than (1,0,0,2), but float sums do not show it
-    ([[2, 2, 2**53, 1], [3, 2, 2, 1], [2, 1, 3, 3002399751580330]], Affine(1, 0), (1, 0, 0, 2), 2),
+    (NEAR_2_POW_53, Affine(1, 0), (1, 0, 0, 2), 2),
     # a later exact tie's float sum is 1 ulp larger
     ([[3, "3/7", 2], ["4/3", "7/12", 2]], Affine(1, 0), (0, 1, 0), 2),
     ([[9, 4, 7, 4, 1], [7, 4, 0, 9, 2], [5, 4, 5, 5, 4]], Affine(Fraction(1, 3), 5), (0, 0, 0, 1, 2), 3),
+    # expr:x and power:1 chose (1,2,0,2) with 1 maximizer, and expr:2*x+1 counted 3
+    *((NEAR_2_POW_53, f, (1, 0, 0, 2), 2) for f in AFFINE[3:]),
 ]
 
 
@@ -434,6 +454,9 @@ class TestOneUtilitarianPath:
     @example(Profile(FLOAT_SUMS_GOT_WRONG[0][0]), FLOAT_SUMS_GOT_WRONG[0][1])
     @example(Profile(FLOAT_SUMS_GOT_WRONG[1][0]), FLOAT_SUMS_GOT_WRONG[1][1])
     @example(Profile(FLOAT_SUMS_GOT_WRONG[2][0]), FLOAT_SUMS_GOT_WRONG[2][1])
+    @example(Profile(FLOAT_SUMS_GOT_WRONG[3][0]), FLOAT_SUMS_GOT_WRONG[3][1])
+    @example(Profile(FLOAT_SUMS_GOT_WRONG[4][0]), FLOAT_SUMS_GOT_WRONG[4][1])
+    @example(Profile(FLOAT_SUMS_GOT_WRONG[5][0]), FLOAT_SUMS_GOT_WRONG[5][1])
     @example(Profile([[], []]), Affine(1, 0))  # no goods: one empty allocation
     @example(Profile([[1, 0, "1/2"]]), Affine(2, -1))  # one agent
     @example(Profile([[0, 1], [0, 2], [0, 0]]), Affine(Fraction(1, 3), 5))  # nobody values good 0

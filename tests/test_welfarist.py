@@ -20,7 +20,7 @@ from fairalloc import (
     max_nash_welfare,
     maximize_welfare,
 )
-from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, compile_expression
+from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, compile_expression, linear_form
 from fairalloc.welfarist import (
     Affine,
     CustomExpression,
@@ -143,7 +143,7 @@ def _nodes(tree):
 
 class TestCompiledValue:
     """``value`` evaluates ``ast()``, compiled once and kept out of the
-    instance's identity."""
+    instance's identity, as is the tree's recognised form."""
 
     SPECS = ["log", "log:1/2,-1", "affine:3,2", "power:1/3", "exp", "expr:3*ln(x)+2"]
 
@@ -152,7 +152,8 @@ class TestCompiledValue:
         f = welfare_function_from_spec(spec)
         fresh = {"pickle": pickle.dumps(f), "repr": repr(f), "hash": hash(f), "copy": copy.deepcopy(f)}
         assert f.value(2) == compile_expression(f.ast())(2.0)
-        assert "_compiled" in vars(f)
+        assert f._form == linear_form(f.ast())
+        assert "_compiled" in vars(f) and "_form" in vars(f)
         assert pickle.dumps(f) == fresh["pickle"]
         assert (repr(f), hash(f)) == (fresh["repr"], fresh["hash"])
         for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), fresh["copy"]):
