@@ -9,21 +9,22 @@ one-good-removal envy check.  This module provides the constancy test, a
 log-affine parameter fit built on it, and the instance construction with an
 exhaustive verification of the failure.
 
-The constancy test and the fit sample ``d_k`` in floats under a tolerance;
-the search compares ``d_k`` values by certified signs, exact in integers for
-a tree recognised as ``a*ln(x) + c`` and from rational enclosures of ``f``
-otherwise, so for log-affine ``f`` every comparison ties and no instance is built.
+The constancy test, the fit and the search judge ``d_k`` by one certified sign
+test: exact in integers for a tree recognised as ``a*ln(x) + c``, else from
+rational enclosures of ``f``, where a tie means equal to 80 digits.  So every
+comparison ties for log-affine ``f``, and float samples are only shown.
 """
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from .fairness import Ef1Verdict, is_ef1
-from .funcparse import enclose_expression
+from .funcparse import _DIGITS, _positive_grid, enclose_expression
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile
 from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
 
@@ -35,9 +36,6 @@ DEFAULT_SEARCH_GRID = tuple(Fraction(i, 2) for i in range(1, 11))
 #: Default grid for constancy reports and the log fit.
 DEFAULT_CONSTANCY_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 
-#: Significant digits of the search's enclosures of ``f``, coarsest first.
-_DIGITS = (12, 80)
-
 
 def scaled_difference(f: WelfareFunction, k: int, x) -> float:
     """d_k(x) = f((k+1)*x) - f(k*x); constant in x exactly for log-affine f."""
@@ -48,11 +46,10 @@ def scaled_difference(f: WelfareFunction, k: int, x) -> float:
 
 @dataclass(frozen=True)
 class ConstancyReport:
-    """Samples of ``d_k`` over a grid.
-
-    ``constant`` holds iff ``spread = max - min`` is within the tolerance;
-    ``level`` is then the common value (mean of the samples).
-    """
+    """The verdict on ``d_k`` over a grid: ``constant`` iff the search's sign test
+    ties ``d_k`` at every grid point with ``d_k`` at the first.  ``samples``,
+    ``spread = max - min`` and ``level`` (their mean, ``None`` unless constant)
+    are floats, shown only."""
 
     k: int
     samples: tuple[tuple[float, float], ...]
@@ -61,23 +58,26 @@ class ConstancyReport:
     level: float | None
 
 
-def constancy_check(
-    f: WelfareFunction, k: int, grid, tolerance: float = 1e-9
-) -> ConstancyReport:
-    """Sample ``d_k`` on a positive grid and test whether it is constant."""
-    points = [float(g) for g in grid]
-    if not points:
-        raise ValueError("the grid must not be empty")
-    if any(p <= 0 for p in points):
-        raise ValueError("the grid must contain only positive values")
-    if not tolerance > 0:
-        raise ValueError("the tolerance must be positive")
-    samples = tuple((x, scaled_difference(f, k, x)) for x in points)
+def _ties(sign, k, points):
+    """Whether ``sign`` ties ``d_k`` at every point with ``d_k`` at the first."""
+    if sign is _log_sign:  # (k+1)x * ky == kx * (k+1)y: every pair ties
+        return True
+    first = ((k + 1) * points[0], k * points[0])
+    return all(sign(first, ((k + 1) * x, k * x)) == 0 for x in points[1:])
+
+
+def _report(f, k, points, sign):
+    """The float samples of ``d_k`` with the verdict of ``sign`` (``None``: not constant)."""
+    samples = tuple((float(x), scaled_difference(f, k, x)) for x in points)
     values = [d for _, d in samples]
-    spread = max(values) - min(values)
-    constant = spread <= tolerance
+    constant = sign is not None and _ties(sign, k, points)
     level = sum(values) / len(values) if constant else None
-    return ConstancyReport(k, samples, spread, constant, level)
+    return ConstancyReport(k, samples, max(values) - min(values), constant, level)
+
+
+def constancy_check(f: WelfareFunction, k: int, grid) -> ConstancyReport:
+    """Decide whether ``d_k`` is constant on a positive grid, taken exactly."""
+    return _report(f, k, _positive_grid(grid), _sign_test(f))
 
 
 @dataclass(frozen=True)
@@ -101,33 +101,26 @@ class LogFitResult:
         return self.fit is not None
 
 
-def fit_log(
-    f: WelfareFunction,
-    *,
-    k_max: int = 50,
-    grid=DEFAULT_CONSTANCY_GRID,
-    tolerance: float = 1e-9,
-) -> LogFitResult:
-    """Fit ``a*ln(x) + b`` to ``f`` via the constancy levels.
+def fit_log(f: WelfareFunction, *, k_max: int = 50, grid=DEFAULT_CONSTANCY_GRID) -> LogFitResult:
+    """Fit ``a*ln(x) + b`` to ``f`` once ``d_k`` is constant for every ``k <= k_max``.
 
-    If ``d_k`` is constant for every ``k <= k_max``, the slope is
-    ``level(1) / ln 2`` (for log-affine ``f`` every ``level(k) / log1p(1/k)``
-    is the slope, and ``k = 1`` cancels least) and the intercept is ``f(1)``.
-    Otherwise the first failing report is returned.
+    One sign test decides every ``k`` as :func:`constancy_check` does; the first
+    ``k`` that fails gets the returned report.  The slope is ``d_1`` at the first
+    grid point, from its 80-digit enclosure, over ``ln 2``, and the intercept is ``f(1)``.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
-    level = None
-    for k in range(1, k_max + 1):
-        report = constancy_check(f, k, grid, tolerance)
-        if not report.constant:
-            return LogFitResult(None, report)
-        level = report.level if level is None else level
-    a = level / math.log(2)
+    points = _positive_grid(grid)
+    sign = _sign_test(f)
+    failed = next((k for k in range(1, k_max + 1) if not _ties(sign, k, points)), None)
+    if failed is not None:
+        return LogFitResult(None, _report(f, failed, points, None))
+    (lo2, hi2), (lo1, hi1) = (enclose_expression(f.ast(), x, _DIGITS[-1]) for x in (2 * points[0], points[0]))
+    a = float((lo2 + hi2 - lo1 - hi1) / 2) / math.log(2)
     if not a > 0:
-        return LogFitResult(None, report)
+        return LogFitResult(None, _report(f, k_max, points, sign))
     b = f.value(1)
-    residual = max(abs(f.value(x) - (a * math.log(float(x)) + b)) for x in grid)
+    residual = max(abs(f.value(x) - (a * math.log(x) + b)) for x in points)
     return LogFitResult(LogFit(a, b, residual), None)
 
 
@@ -232,12 +225,30 @@ def _choose_discount(sign, k, y, z, override, max_halvings=60):
     return None
 
 
-def _verify_candidate(f, k, y, z, discount, budget):
+def _candidates(sign, points, k_max, epsilon, rejected):
+    """``(k, y, z, discount)`` for each grid pair with a certified gap, in scan order."""
+    for k in range(1, k_max + 1):
+        d_k = cache(lambda x, k=k: ((k + 1) * x, k * x))  # d_k(x) = f((k+1)x) - f(kx)
+        for first, second in combinations(points, 2):
+            order = sign(d_k(first), d_k(second))
+            if order == 0:
+                continue
+            y, z = (first, second) if order > 0 else (second, first)
+            discount = _choose_discount(sign, k, y, z, epsilon)
+            if discount is None:
+                rejected["pairs with no discount"] += 1
+                continue
+            yield k, y, z, discount
+
+
+def _verify_candidate(f, k, y, z, discount, budget, rejected):
+    """The report, or ``None`` with the rejection counted in ``rejected`` and logged at DEBUG."""
     profile = counterexample_profile(k, y, z, discount)
     result, band = welfare_maximizers(profile, f, budget=budget)
     verdict = is_ef1(profile, result.allocation)
     if verdict.holds:
-        logger.warning(
+        rejected["candidates whose chosen maximizer passes EF1"] += 1
+        logger.debug(
             "candidate k=%d y=%s z=%s discount=%s: the chosen maximizer "
             "passes the one-good-removal check; skipping",
             k, y, z, discount,
@@ -245,7 +256,8 @@ def _verify_candidate(f, k, y, z, discount, budget):
         return None
     for allocation in band:
         if allocation != result.allocation and is_ef1(profile, allocation).holds:
-            logger.warning(
+            rejected["candidates with a tied maximizer passing EF1"] += 1
+            logger.debug(
                 "candidate k=%d y=%s z=%s discount=%s: a tied maximizer "
                 "%s passes the one-good-removal check; skipping",
                 k, y, z, discount, allocation.assignment,
@@ -281,32 +293,19 @@ def find_ef1_counterexample(
     welfare tie band fails the one-good-removal check.  Both comparisons are
     certified signs of ``f.ast()``, exact if it is recognised as log-affine, and
     pairs they cannot tell apart are skipped, so log-affine ``f`` builds no candidate.
-    Candidates whose certified gap held but whose verification failed are
-    logged, never silently dropped.  Returns the first verified report in
-    scan order, or ``None``.
+    Each search logs one INFO summary counting the pairs and candidates it
+    rejected, by reason (tied pairs are not counted), and each rejected
+    candidate at DEBUG.  Returns the
+    first verified report in scan order, or ``None``.
     """
-    points = tuple(Fraction(g) for g in (DEFAULT_SEARCH_GRID if grid is None else grid))
-    if not points:
-        raise ValueError("the search grid must not be empty")
-    if any(p <= 0 for p in points):
-        raise ValueError("the search grid must contain only positive values")
+    points = _positive_grid(DEFAULT_SEARCH_GRID if grid is None else grid)
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
-    sign = _sign_test(f)
-    for k in range(1, k_max + 1):
-        d_k = cache(lambda x, k=k: ((k + 1) * x, k * x))  # d_k(x) = f((k+1)x) - f(kx)
-        for first, second in combinations(points, 2):
-            order = sign(d_k(first), d_k(second))
-            if order == 0:
-                continue
-            y, z = (first, second) if order > 0 else (second, first)
-            discount = _choose_discount(sign, k, y, z, epsilon)
-            if discount is None:
-                continue
-            report = _verify_candidate(f, k, y, z, discount, budget)
-            if report is not None:
-                return report
-    return None
+    rejected = Counter()
+    candidates = _candidates(_sign_test(f), points, k_max, epsilon, rejected)
+    report = next(filter(None, (_verify_candidate(f, *c, budget, rejected) for c in candidates)), None)
+    logger.info("search for %s to k=%d: found k=%s; rejected %s", f, k_max, report and report.k, dict(rejected))
+    return report
 
 
 def extend_profile(base: Profile, n: int) -> Profile:

@@ -319,14 +319,25 @@ def _combine(op, left, right):
     return _point(values[0]) if len(values) == 1 else (min(values), max(values))
 
 
+#: Most bits an integer power's numerator or denominator may reach to be taken exactly.
+_POWER_BITS = 1 << 16
+#: Significant digits of the enclosures that decide a comparison, coarsest first.
+_DIGITS = (12, 80)
+
+
+def _small_power(interval, n):
+    """Whether ``x**n`` stays within :data:`_POWER_BITS` bits at both ends ``x`` of ``interval``."""
+    return all(abs(n) * max(x.numerator.bit_length(), x.denominator.bit_length()) <= _POWER_BITS for x in interval)
+
+
 def _power(base, exponent, digits):
     (lo, hi), (e_lo, e_hi) = base, exponent
     if e_lo == e_hi and e_lo.denominator == 2:  # x^(n/2) = sqrt(x^n)
         return _increasing("sqrt", _power(base, _point(2 * e_lo), digits), digits)
-    if e_lo != e_hi or e_lo.denominator != 1:  # x^p = exp(p ln x)
+    n = e_lo.numerator
+    if e_lo != e_hi or e_lo.denominator != 1 or not _small_power(base, n):  # x^p = exp(p ln x), x > 0
         logarithm = _increasing("ln", base, digits)
         return _increasing("exp", _combine(operator.mul, logarithm, exponent), digits)
-    n = e_lo.numerator
     if n < 0 and lo <= 0 <= hi:
         raise ExpressionEvalError("division by zero")
     if lo is hi:
@@ -356,17 +367,13 @@ def _enclose(node, x, digits):
 def enclose_expression(expr: Expression, x, digits: int) -> tuple[Fraction, Fraction]:
     """Rationals ``lo <= expr(x) <= hi`` at a rational ``x >= 0``.
 
-    ``+ - * /`` and integer powers are exact, so ``lo == hi`` and no
-    ``decimal`` call unless ``ln``, ``exp``, ``sqrt`` or a non-integer power
-    occurs; those work at ``digits`` significant digits, and a step outside
-    their domain (``ln`` of a value that may be 0) raises
+    ``+ - * /`` and integer powers within :data:`_POWER_BITS` are exact, so
+    ``lo == hi`` and no ``decimal`` call unless ``ln``, ``exp``, ``sqrt`` or
+    another power occurs; those work at ``digits`` significant digits, and a
+    step outside their domain (``ln`` of a value that may be 0) raises
     :class:`ExpressionEvalError`.
     """
     return _enclose(expr, _point(Fraction(x)), digits)
-
-
-#: Most bits the recognizer lets an x-free integer power's numerator or denominator reach.
-_POWER_BITS = 1 << 16
 
 
 def _linear(node):
@@ -396,8 +403,7 @@ def _linear(node):
             return Fraction(0), None, None
         if node.op != "^":
             return Fraction(0), None, _ARITHMETIC[node.op](c, d)
-        bits = abs(d) * max(c.numerator.bit_length(), c.denominator.bit_length())
-        small = d.denominator == 1 and bits <= _POWER_BITS and not (c == 0 and d < 0)
+        small = d.denominator == 1 and _small_power(_point(c), d) and not (c == 0 and d < 0)
         return Fraction(0), None, c**d if small else None
     if node.op in "+-":
         if node.op == "-":
@@ -432,31 +438,46 @@ def linear_form(expr: Expression) -> tuple[str, Fraction] | None:
 class MonotonicityReport:
     """Outcome of a strict-increase check along a grid.
 
-    ``failure`` is the first adjacent pair ``(x1, x2)`` with
-    ``f(x1) >= f(x2)``, present iff ``increasing`` is false.
+    ``failure`` is the first adjacent pair ``(x1, x2)`` with ``f(x1) >= f(x2)``
+    at 80 digits, present iff ``increasing`` is false.
     """
 
     increasing: bool
     failure: tuple[float, float] | None = None
 
 
-def check_increasing(expr: Expression, grid) -> MonotonicityReport:
-    """Check strict increase of the expression along an ascending positive grid.
-
-    Comparison is strict float comparison with no tolerance.  Evaluation
-    errors propagate.
-    """
-    points = [float(g) for g in grid]
+def _positive_grid(grid, number=Fraction):
+    """``grid`` as a tuple of ``number``s, refused unless non-empty and positive."""
+    points = tuple(map(number, grid))
     if not points:
         raise ValueError("the grid must not be empty")
     if any(p <= 0 for p in points):
         raise ValueError("the grid must contain only positive values")
+    return points
+
+
+def _rises(expr, a, b):
+    """Whether enclosures of ``expr`` at :data:`_DIGITS` prove ``expr(a) < expr(b)``."""
+    try:
+        return any(enclose_expression(expr, a, d)[1] < enclose_expression(expr, b, d)[0] for d in _DIGITS)
+    except ExpressionEvalError:
+        return False
+
+
+def check_increasing(expr: Expression, grid) -> MonotonicityReport:
+    """Check strict increase of the expression along an ascending positive grid.
+
+    Adjacent points are compared in floats with no tolerance.  A pair the floats
+    do not order (a large constant may absorb the change) fails only if
+    enclosures cannot order it either, at 80 digits.  Float evaluation errors propagate.
+    """
+    points = _positive_grid(grid, float)
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("the grid must be strictly ascending")
     previous = evaluate_expression(expr, points[0])
     for a, b in zip(points, points[1:]):
         current = evaluate_expression(expr, b)
-        if not previous < current:
+        if not previous < current and not _rises(expr, Fraction(a), Fraction(b)):
             return MonotonicityReport(False, (a, b))
         previous = current
     return MonotonicityReport(True, None)

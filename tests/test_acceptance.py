@@ -92,14 +92,14 @@ def test_criterion_4_constancy_and_log_fit():
         for b in (-1.0, 0.0, 2.0):
             f = LogAffine(a, b)
             for k in range(1, 6):
-                check = constancy_check(f, k, grid, tolerance=1e-9)
+                check = constancy_check(f, k, grid)
                 assert check.constant and check.spread <= 1e-9
-            outcome = fit_log(f, k_max=50, grid=grid, tolerance=1e-9)
+            outcome = fit_log(f, k_max=50, grid=grid)
             assert outcome.is_log_affine
             assert abs(outcome.fit.a - a) / a <= 1e-9
             assert outcome.fit.b == f.value(1)
             assert outcome.fit.max_residual <= 1e-9
-    identity = constancy_check(Affine(1, 0), 1, grid, tolerance=1e-9)
+    identity = constancy_check(Affine(1, 0), 1, grid)
     assert not identity.constant
     assert identity.spread >= 0.5
     report(4, "scaled differences constant for a*ln(x)+b, slope within 1e-9 relative, intercept exact", started)

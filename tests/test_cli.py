@@ -271,6 +271,28 @@ class TestLemmaCheck:
         assert result.exit_code == 0
         assert "log-affine fit" in result.output
 
+    def test_a_gap_below_float_resolution_is_not_log_affine(self, runner):
+        result = runner.invoke(main, ["lemma-check", "--f", "expr:ln(x)+x/10^12", "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["log_affine"] is False
+        assert payload["first_failure"]["k"] == 1
+        assert not any(entry["constant"] for entry in payload["constancy"])
+
+    def test_a_large_intercept_is_log_affine(self, runner):
+        result = runner.invoke(main, ["lemma-check", "--f", "log:1,100000000000000000", "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["log_affine"] is True
+        assert (payload["fit"]["a"], payload["fit"]["b"]) == (1.0, 1e17)
+
+    def test_grid_points_are_exact_rationals(self, runner):
+        result = runner.invoke(main, ["lemma-check", "--f", "log", "--grid", "1/3,2/3,7", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["log_affine"] is True
+        result = runner.invoke(main, ["lemma-check", "--f", "log", "--tolerance", "1e-9"])
+        assert result.exit_code == 2 and "No such option" in result.output
+
 
 class TestExperiment:
     def test_csv_deterministic_for_fixed_seed(self, runner):

@@ -17,16 +17,19 @@ from fairalloc.errors import (
 from fairalloc.funcparse import (
     BinOp,
     Call,
+    MonotonicityReport,
     Neg,
     Num,
     Var,
     check_increasing,
     compile_expression,
+    enclose_expression,
     evaluate_expression,
     linear_form,
     parse_expression,
 )
-from fairalloc.welfarist import welfare_function_from_spec
+from fairalloc.model import Profile
+from fairalloc.welfarist import solve, welfare_function_from_spec
 
 
 class TestParsing:
@@ -245,6 +248,26 @@ class TestIncreasingCheck:
         with pytest.raises(ExpressionEvalError):
             check_increasing(parse_expression("sqrt(x-10)"), [1.0, 2.0])
 
+    @pytest.mark.parametrize("text", ["ln(x)+10^17", "x+10^16", "x/10^20+1"])
+    def test_a_large_constant_does_not_hide_the_increase(self, text):
+        # the float terms tie; enclosures at the exact grid points order them
+        grid = [i / 10 for i in range(1, 101)]
+        assert check_increasing(parse_expression(text), grid).increasing
+        welfare_function_from_spec(f"expr:{text}")  # constructs
+
+    def test_a_pair_tied_at_80_digits_still_fails(self):
+        report = check_increasing(parse_expression("x+10^100-x"), [1.0, 2.0])
+        assert report == MonotonicityReport(False, (1.0, 2.0))
+        assert not check_increasing(parse_expression("10^17-x"), [1.0, 2.0]).increasing
+
+    def test_a_large_constant_log_is_ranked_by_the_nash_key(self):
+        # ln(x) + 10^17 is log-affine: the exact Nash scan, not float sums, ranks it
+        f = welfare_function_from_spec("expr:ln(x)+10^17")
+        assert f._form == ("ln", 1)
+        profile = Profile(((0, 0, 0), (0, 1, 999998112)))
+        result, nash = solve(profile, f), solve(profile, welfare_function_from_spec("log"))
+        assert (result.allocation, result.maximizer_set_size) == (nash.allocation, 2)
+
 
 class TestLinearForm:
     """``linear_form`` proves ``a*ln(x) + c`` or ``a*x + c``, or answers None."""
@@ -276,6 +299,20 @@ class TestLinearForm:
         start = time.perf_counter()
         assert linear_form(tree) is None
         assert time.perf_counter() - start < 0.5
+
+    def test_a_huge_constant_power_is_enclosed_not_expanded(self):
+        mpmath = pytest.importorskip("mpmath")
+        tree = parse_expression("(1+1/10^6)^(10^6)")
+        start = time.perf_counter()
+        lo, hi = enclose_expression(tree, Fraction(1), 12)
+        assert time.perf_counter() - start < 0.5
+        with mpmath.workdps(40):
+            true = mpmath.power(1 + mpmath.mpf(10) ** -6, 10**6)
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= true <= mpmath.mpf(hi.numerator) / hi.denominator
+        assert hi - lo < Fraction(1, 10**9)
+        with pytest.raises(ExpressionEvalError, match="ln of a value"):
+            enclose_expression(parse_expression("(x-3)^(10^6)"), Fraction(1), 12)
+        assert enclose_expression(parse_expression("(x-3)^3"), Fraction(1), 12) == (-8, -8)
 
     def test_a_tree_deeper_than_the_walk_is_not_recognised(self):
         assert linear_form(parse_expression("x" + "+x" * 5000)) is None
