@@ -11,10 +11,15 @@ assignments of a prefix of the goods are walked in lexicographic order with
 incrementally updated integer bundle totals, and each prefix brings a
 precomputed block of every assignment of the last goods, evaluated a column
 at a time; a scan memoizes an agent's column by its prefix total, up to a cap.
+The Nash ranking walks only the Pareto frontier of the prefixes and of the
+block entries: a Nash maximizer is Pareto optimal.  The float welfare scans
+and the Pareto check walk everything: a float tie band can hold a dominated
+allocation, and the first dominator in order may lie off the frontier.
 """
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -214,10 +219,10 @@ def _assignments(rows, prune=None):
 
 @lru_cache(maxsize=64)
 def _suffix_table(n: int, s: int):
-    """Every assignment of ``s`` goods to ``n`` agents in lexicographic order,
-    and per agent a getter of its bundle in each, out of the ``2**s`` subsets
-    of the goods (bit ``s - 1 - j`` set when the bundle holds good ``j``)."""
-    suffixes = tuple(product(range(n), repeat=s))
+    """Every assignment of ``s`` goods to ``n`` agents in lexicographic order, each
+    as a group of one, and per agent a getter of its bundle in each, out of the ``2**s``
+    subsets of the goods (bit ``s - 1 - j`` set when the bundle holds good ``j``)."""
+    suffixes = tuple((suffix,) for suffix in product(range(n), repeat=s))
     gathers = []
     for agent in range(n):
         index = [0]
@@ -228,23 +233,72 @@ def _suffix_table(n: int, s: int):
     return suffixes, tuple(gathers)
 
 
-def _blocks(rows, prune=None):
+def _blocks(rows, prune=None, frontier=False):
     """The kernel's walk, as ``(suffixes, gathers, bundles, prefixes)``.
 
-    The last ``s`` goods, ``s`` the largest count with ``n**s <= _BLOCK``
-    (0 for one agent, who has one bundle per allocation), form the suffix.  ``prefixes`` is :func:`_assignments`
-    over the other goods; each ``(prefix, totals)`` stands for the block
-    ``prefix + suffixes[k]``, in order, where agent ``i``'s total is
-    ``totals[i] + gathers[i](bundles[i])[k]`` and ``bundles[i]`` is its value
-    for each subset of the suffix.  So a consumer evaluates the ``2**s``
-    bundles (each some agent's in some entry) and gathers, not ``n**s`` entries.
+    The last ``s`` goods, ``s`` the largest count with ``n**s <= _BLOCK`` (0 for one agent,
+    who has one bundle per allocation), form the suffix.  ``prefixes`` walks the other goods
+    (:func:`_assignments`) as ``(group, totals)``, a tuple of the prefixes with bundle totals
+    ``totals``, for the block whose entry ``k`` is every ``p + q``, ``p`` in ``group`` and ``q``
+    in the tuple ``suffixes[k]``, with agent ``i``'s total ``totals[i] + gathers[i](bundles[i])[k]``
+    (``bundles[i]``: its value for each subset of the suffix); a consumer evaluates the ``2**s``
+    bundles and gathers.  Each group holds one assignment, in order, and ``totals`` is updated
+    in place, unless ``frontier`` is set and the walk has over ``n**2`` prefixes: then each side
+    keeps, in order, a group per distinct totals that no other's weakly exceed everywhere
+    (:func:`_maxima`), where a key that rises when one total rises and none falls is highest,
+    and ``bundles[i]`` is agent ``i``'s value in each kept entry, which ``tuple`` gathers.
     """
     n, m = len(rows), len(rows[0])
     s = _suffix_length(n, m)
     bundles, _ = _row_sums(rows, s)
     suffixes, gathers = _suffix_table(n, s)
-    prefix_rows = tuple(row[: m - s] for row in rows)
-    return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
+    if m == s:  # one block: the walk has one prefix, of no goods
+        return suffixes, gathers, bundles, [(((),), [0] * n)]
+    walk = _assignments(tuple(row[: m - s] for row in rows), prune)
+    if not frontier or n ** (m - s) <= n * n:  # filtering costs about as much as a few whole blocks
+        return suffixes, gathers, bundles, (((tuple(prefix),), totals) for prefix, totals in walk)
+    groups, entries = {}, {}
+    for prefix, totals in walk:
+        groups.setdefault(tuple(totals), []).append(tuple(prefix))
+    for k, vector in enumerate(zip(*[gather(values) for gather, values in zip(gathers, bundles)])):
+        entries.setdefault(vector, []).append(k)
+    top = _maxima(entries)
+    return ([tuple(suffixes[k][0] for k in entries[vector]) for vector in top], [tuple] * n, list(zip(*top)),
+            [(tuple(groups[totals]), totals) for totals in _maxima(groups)])
+
+
+def _maxima(points):
+    """The points, distinct tuples of nonnegative ints, that no other point weakly exceeds
+    everywhere (the maxima of Kung, Luccio and Preparata, JACM 1975), in the given order."""
+    points, kept = list(points), set()
+    if len(points[0]) <= 3:  # sorted descending, a dominator comes first, and one came iff a kept
+        ys, zs = [], []  # point's last two coordinates are no smaller: a staircase, zs falling as ys rise
+        for point in sorted(points, reverse=True):
+            _, y, z = (*point, 0, 0)[:3]
+            i = bisect_left(ys, y)
+            if i == len(ys) or zs[i] < z:
+                lo = i
+                while lo and zs[lo - 1] <= z:
+                    lo -= 1
+                ys[lo:i], zs[lo:i] = [y], [z]
+                kept.add(point)
+        return [point for point in points if point in kept]
+    # A dominator has a larger sum.  Ranked, a coordinate is a field of ``width`` bits under a
+    # guard bit, and ``stack`` a block of fields per point kept: subtracting a point from
+    # each leaves a block's guard bits set (all its bits, with ``fill``) iff it is no smaller.
+    columns = [list(map({v: r for r, v in enumerate(sorted(set(c)))}.__getitem__, c)) for c in zip(*points)]
+    n, width = len(columns), len(points).bit_length() + 1
+    block, guard = n * width + 1, sum(1 << (width * i + width - 1) for i in range(n))
+    fill, stack, last = (1 << block - 1) - 1 - guard, 0, None
+    packed = map(sum, zip(*[[r << width * i for r in c] for i, c in enumerate(columns)]))
+    for total, value, point in sorted(zip(map(sum, zip(*columns)), packed, points), reverse=True):
+        if total != last:  # points of one sum never dominate each other: compare with those kept before
+            last, ones = total, ((1 << block * len(kept)) - 1) // ((1 << block) - 1)
+            filled, tops = fill * ones, ones << block - 1
+        if not ((stack - value * ones | filled) + ones) & tops:  # no block carries into its top bit
+            stack |= (value | guard) << block * len(kept)
+            kept.add(point)
+    return [point for point in points if point in kept]
 
 
 def _suffix_length(n: int, m: int) -> int:
@@ -269,7 +323,7 @@ def _row_sums(rows, s: int):
 def _memo(build, rows, suffixes):
     """``build`` of what a block column depends on (an agent and its prefix total, say), memoized
     for the last :data:`_COLUMN_CAP` arguments if the walk has more than one prefix (else none recurs)."""
-    return lru_cache(_COLUMN_CAP)(build) if len(rows) ** (len(rows[0]) - len(suffixes[0])) > 1 else build
+    return lru_cache(_COLUMN_CAP)(build) if len(rows) ** (len(rows[0]) - len(suffixes[0][0])) > 1 else build
 
 
 # ---------------------------------------------------------------------------

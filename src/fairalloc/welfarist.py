@@ -14,7 +14,11 @@ The scans walk the shared integer kernel of :mod:`fairalloc.model`, a prefix
 walk that hands over the allocations of the last goods as one block per
 prefix, in one scan that differs only in the key it builds a column at a
 time.  A scan memoizes each agent's column by its prefix total, up to a cap;
-the float scans keep ``f(t / L)`` per integer total ``t`` across calls.
+the float scans keep ``f(t / L)`` per integer total ``t`` across calls.  The
+Nash ranking walks only the Pareto frontier of the prefixes and of the block
+entries: a Nash maximizer is Pareto optimal.  The float scans and the Pareto
+check walk everything: a float tie band can hold a dominated allocation, and
+the first dominator in order may lie off the frontier.
 """
 
 import math
@@ -364,40 +368,40 @@ class _TieTracker:
         self.floor = None  # lowest secondary part in the band
         self.assignment = None
         self.near = {}  # key -> count
-        self.members = [] if keep_members else None  # (key, assignment)
+        self.members = [] if keep_members else None  # (key, prefixes, suffixes)
 
     def _in_band(self, key):
         return key[0] == self.best[0] and key[1] >= self.floor
 
-    def offer_block(self, prefix, suffixes, primary, secondaries):
-        """Offer ``prefix + suffixes[k]`` under the key ``(primary, secondaries[k])`` for
-        every ``k`` in order; the scan drops the entries with a lower primary part first."""
+    def offer_block(self, prefixes, suffixes, primary, secondaries):
+        """Offer each ``p + q``, ``p`` in ``prefixes`` and ``q`` in ``suffixes[k]``, under the key ``(primary,
+        secondaries[k])`` for every ``k`` in order; the scan drops the entries with a lower primary part first."""
         top = max(secondaries)
         best = self.best
         if best is not None and (primary, top) < (best[0], self.floor):
             return
-        prefix = tuple(prefix)
         if best is None or (primary, top) > best:
             self.best = (primary, top)
             self.floor = top - self.tolerance
-            self.assignment = prefix + suffixes[secondaries.index(top)]
+            self.assignment = prefixes[0] + suffixes[secondaries.index(top)][0]
             self.near = {k: count for k, count in self.near.items() if self._in_band(k)}
             if self.members is not None:
                 self.members = [m for m in self.members if self._in_band(m[0])]
         for k in compress(range(len(secondaries)), map(le, repeat(self.floor), secondaries)):
             key = (primary, secondaries[k])
-            self.near[key] = self.near.get(key, 0) + 1
+            self.near[key] = self.near.get(key, 0) + len(prefixes) * len(suffixes[k])
             if self.members is not None:
-                self.members.append((key, prefix + suffixes[k]))
+                self.members.append((key, prefixes, suffixes[k]))
 
 
-def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary):
+def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, frontier=False):
     """Offer every allocation of the kernel's walk to ``tracker`` under the key ``(primary -
     number of agents whose term is excluded, the others' terms combined in agent order)``.
     An agent's terms are computed once per bundle of the last goods and gathered into a
     column per block.  The scan's :func:`_memo` keeps an agent's column and excluded terms'
-    flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs."""
-    suffixes, gathers, bundles, prefixes = _blocks(rows)
+    flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs.
+    ``frontier`` (see :func:`~fairalloc.model._blocks`) is only for a key that rises with each total."""
+    suffixes, gathers, bundles, prefixes = _blocks(rows, frontier=frontier)
 
     def build(agent, total):
         gather, terms = gathers[agent], [term(total + value) for value in bundles[agent]]
@@ -449,13 +453,14 @@ def _scan_welfare(profile, f, budget, keep_members=False):
     else:
         if kind == "ln":
             tracker = _TieTracker(0, keep_members)
-            _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n)
+            _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n,
+                         frontier=True)
         else:
             tracker = _TieTracker(TIE_TOLERANCE, keep_members)
             _scan_blocks(rows, tracker, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0,
                          combine=add, primary=0)
         assignment, count = tracker.assignment, sum(tracker.near.values())
-        members = None if tracker.members is None else [member for _, member in tracker.members]
+        members = tracker.members and sorted(p + q for _, ps, qs in tracker.members for p, q in product(ps, qs))
     allocation = Allocation(assignment)
     return SolveResult(allocation, allocation_welfare(profile, allocation, f), count), members
 

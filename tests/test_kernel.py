@@ -7,9 +7,12 @@ prefix.  These tests feed it rational profiles whose rows have different
 denominators, with zeros that leave some agent at utility 0, and compare
 each consumer with the definitions in ``oracles``, which go through the
 allocations one at a time; the block tests do so at several block sizes.
+The maxima filter behind the Nash ranking's frontier is checked against the
+definition of a maximal point.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +71,7 @@ def rational_profiles(draw, max_agents=3, max_goods=5):
 
 
 HUGE_ENTRIES = st.one_of(st.just(0), st.integers(1, 2**60), st.sampled_from((2**53, 2**53 + 1, 2**60)))
+RATIONAL_ENTRIES = st.builds(Fraction, st.integers(0, 9), st.sampled_from((1, 2, 3, 5, 7, 12)))
 
 
 @st.composite
@@ -201,6 +205,31 @@ class TestExactScans:
         wrong_size = Allocation((0,))
         with pytest.raises(EnumerationBudgetError):
             is_pareto_optimal(profile, wrong_size, budget=10)
+
+
+@st.composite
+def point_sets(draw):
+    """Distinct points with 1 to 5 coordinates: small values (ties in single coordinates,
+    zeros) or values up to 2**60, and, half the time, an antichain of one coordinate sum, as
+    the block entries of identical rows are."""
+    n = draw(st.integers(1, 5))
+    values = draw(st.sampled_from((st.integers(0, 3), HUGE_ENTRIES)))
+    points = draw(st.lists(st.tuples(*[values] * n), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        total = max(sum(point[1:]) for point in points)
+        points = [(total - sum(point[1:]), *point[1:]) for point in points]
+    return list(dict.fromkeys(points))
+
+
+class TestMaxima:
+    @given(point_sets())
+    @example([c for c in product(range(5), repeat=4) if sum(c) == 4])  # every sum equal
+    @example([(0, 2**60, 1, 1, 1), (0, 2**60, 1, 1, 0), (2**60, 0, 0, 0, 0), (2**60, 0, 0, 0, 1)])
+    @example([(3, 0, 1), (3, 1, 0), (2, 1, 1), (3, 1, 1), (1, 1, 3)])  # (3, 1, 1) beats three of them
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_exactly_the_points_no_other_weakly_exceeds(self, points):
+        expected = [p for p in points if not any(q != p and all(map(operator.ge, q, p)) for q in points)]
+        assert model._maxima(points) == expected
 
 
 WELFARE_FUNCTIONS = (LogAffine(), LogAffine(2, -1), Affine(1, 0), Power(0.5), Power(2))
@@ -338,6 +367,14 @@ def block_sizes(profile):
     return sorted({1, 2, profile.n, 256})
 
 
+@st.composite
+def walked_profiles(draw, entries):
+    """Shapes whose walk has several prefixes at a 256-allocation block."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers({2: 9, 3: 6, 4: 5}[n], {2: 10, 3: 7, 4: 5}[n]))
+    return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
+
+
 class TestBlocks:
     @given(block_profiles(), st.sampled_from(BLOCK_FUNCTIONS))
     @example(Profile([[]]), LogAffine())
@@ -393,6 +430,9 @@ LOG_AFFINE = (
 )
 NEAR_TIE = Profile([[0, 0, 0], [0, 1, 999998112]])  # ln(999998113/999998112) < 1e-9
 ULP_LATER = Profile([[1, 9, 6, 0, 4], [2, 4, 1, 0, 2]])  # a later tie's ln sum is 1 ulp larger
+# three prefix goods; of the winning (prefix totals, entry totals) pairs ((4, 3), (12, 12)), ((1, 6), (15, 9)),
+# ((1, 6), (14, 10)) and ((0, 7), (15, 9)), the first maximizer (0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0) is in the second
+LATER_PAIR = Profile([[1, 4, 1, 3, 3, 4, 1, 2, 3, 4, 3], [1, 4, 2, 3, 3, 1, 0, 2, 4, 2, 1]])
 
 
 class TestOneNashPath:
@@ -418,6 +458,27 @@ class TestOneNashPath:
         assert (nash.allocation, nash.maximizer_set_size) == (expected.allocation, len(members))
         if f == LogAffine():
             assert nash == expected
+
+
+    @given(st.sampled_from((HUGE_ENTRIES, RATIONAL_ENTRIES)).flatmap(walked_profiles))
+    @example(Profile([[1] * 9] * 2))  # 252 maximizers, the first (0, 0, 0, 0, 0, 1, 1, 1, 1)
+    @example(Profile([[1] * 6] * 3))
+    @example(Profile([[0] * 7, [1, 2, 3, 0, 0, 0, 1], [3, 0, 1, 2, 0, 0, 0]]))  # the fewest zeros decide
+    @example(LATER_PAIR)
+    @settings(max_examples=30, deadline=None)
+    def test_walks_of_several_prefixes_give_the_oracles_answer(self, profile):
+        assignment, neg, finite = best_of(profile, LogAffine())
+        members = tuple(map(Allocation, oracles.nash_members(profile)))
+        expected = SolveResult(Allocation(assignment), ExtendedWelfare(neg, finite), len(members))
+        for size in block_sizes(profile):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert every_entry_point(profile, LogAffine()) == (expected, members)
+                assert max_nash_welfare(profile) == expected
+
+    def test_identical_rows_count_every_even_split(self):
+        result, members = welfare_maximizers(Profile([[1] * 9] * 2), LogAffine())
+        assert (result.allocation.assignment, result.maximizer_set_size) == ((0, 0, 0, 0, 0, 1, 1, 1, 1), 252)
+        assert [a.assignment for a in members] == [a for a in product((0, 1), repeat=9) if sum(a) in (4, 5)]
 
 
 AFFINE = (
@@ -492,14 +553,6 @@ class FlooredLog(WelfareFunction):
 
     def value(self, x):
         return math.log(x) if x >= 3 else -math.inf
-
-
-@st.composite
-def walked_profiles(draw, entries):
-    """Shapes whose walk has several prefixes at a 256-allocation block."""
-    n = draw(st.integers(2, 4))
-    m = draw(st.integers({2: 9, 3: 6, 4: 5}[n], {2: 10, 3: 7, 4: 5}[n]))
-    return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
 
 
 def every_scan(profile, allocation):
