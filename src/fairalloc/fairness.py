@@ -135,9 +135,9 @@ def is_pareto_optimal(
         return any(t + r[depth] < c for t, r, c in zip(totals, rest, current))
 
     suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
-    split = profile.m - len(suffixes[0][0])
+    split = profile.m - len(suffixes[0])
     mask_of = _memo(lambda agent, need: gathers[agent]([need <= v for v in bundles[agent]]), rows, suffixes)
-    for (prefix,), totals in prefixes:
+    for prefix, totals in prefixes:
         needs = [c - t for c, t in zip(current, totals)]
         fits = None  # entries giving every agent at least its need
         for agent, need in enumerate(needs):
@@ -146,6 +146,6 @@ def is_pareto_optimal(
         candidates = range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits)
         for k in candidates:
             # a candidate meets every need: it dominates iff it exceeds one
-            if sum(rows[agent][split + j] for j, agent in enumerate(suffixes[k][0])) > sum(needs):
-                return ParetoVerdict(False, Allocation(prefix + suffixes[k][0]))
+            if sum(rows[agent][split + j] for j, agent in enumerate(suffixes[k])) > sum(needs):
+                return ParetoVerdict(False, Allocation(tuple(prefix) + suffixes[k]))
     return ParetoVerdict(True, None)

@@ -219,10 +219,10 @@ def _assignments(rows, prune=None):
 
 @lru_cache(maxsize=64)
 def _suffix_table(n: int, s: int):
-    """Every assignment of ``s`` goods to ``n`` agents in lexicographic order, each
-    as a group of one, and per agent a getter of its bundle in each, out of the ``2**s``
-    subsets of the goods (bit ``s - 1 - j`` set when the bundle holds good ``j``)."""
-    suffixes = tuple((suffix,) for suffix in product(range(n), repeat=s))
+    """Every assignment of ``s`` goods to ``n`` agents in lexicographic order,
+    and per agent a getter of its bundle in each, out of the ``2**s`` subsets
+    of the goods (bit ``s - 1 - j`` set when the bundle holds good ``j``)."""
+    suffixes = tuple(product(range(n), repeat=s))
     gathers = []
     for agent in range(n):
         index = [0]
@@ -236,69 +236,71 @@ def _suffix_table(n: int, s: int):
 def _blocks(rows, prune=None, frontier=False):
     """The kernel's walk, as ``(suffixes, gathers, bundles, prefixes)``.
 
-    The last ``s`` goods, ``s`` the largest count with ``n**s <= _BLOCK`` (0 for one agent,
-    who has one bundle per allocation), form the suffix.  ``prefixes`` walks the other goods
-    (:func:`_assignments`) as ``(group, totals)``, a tuple of the prefixes with bundle totals
-    ``totals``, for the block whose entry ``k`` is every ``p + q``, ``p`` in ``group`` and ``q``
-    in the tuple ``suffixes[k]``, with agent ``i``'s total ``totals[i] + gathers[i](bundles[i])[k]``
-    (``bundles[i]``: its value for each subset of the suffix); a consumer evaluates the ``2**s``
-    bundles and gathers.  Each group holds one assignment, in order, and ``totals`` is updated
-    in place, unless ``frontier`` is set and the walk has over ``n**2`` prefixes: then each side
-    keeps, in order, a group per distinct totals that no other's weakly exceed everywhere
-    (:func:`_maxima`), where a key that rises when one total rises and none falls is highest,
-    and ``bundles[i]`` is agent ``i``'s value in each kept entry, which ``tuple`` gathers.
+    The last ``s`` goods, ``s`` the largest count with ``n**s <= _BLOCK``
+    (0 for one agent, who has one bundle per allocation), form the suffix.  ``prefixes`` is :func:`_assignments`
+    over the other goods; each ``(prefix, totals)`` stands for the block
+    ``prefix + suffixes[k]``, in order, where agent ``i``'s total is
+    ``totals[i] + gathers[i](bundles[i])[k]`` and ``bundles[i]`` is its value
+    for each subset of the suffix.  So a consumer evaluates the ``2**s``
+    bundles (each some agent's in some entry) and gathers, not ``n**s`` entries.
+    ``frontier``, for a key that rises when a total rises and none falls, keeps on each side one tuple of the
+    assignments per totals that no other's weakly exceed (:func:`_maxima`), ``prefixes`` listing ``(group, totals)``,
+    unless the walk has at most ``n**2`` prefixes or a block keeps at least three in four entries.
     """
     n, m = len(rows), len(rows[0])
     s = _suffix_length(n, m)
     bundles, _ = _row_sums(rows, s)
     suffixes, gathers = _suffix_table(n, s)
-    if m == s:  # one block: the walk has one prefix, of no goods
-        return suffixes, gathers, bundles, [(((),), [0] * n)]
-    walk = _assignments(tuple(row[: m - s] for row in rows), prune)
-    if not frontier or n ** (m - s) <= n * n:  # filtering costs about as much as a few whole blocks
-        return suffixes, gathers, bundles, (((tuple(prefix),), totals) for prefix, totals in walk)
-    groups, entries = {}, {}
-    for prefix, totals in walk:
-        groups.setdefault(tuple(totals), []).append(tuple(prefix))
+    prefix_rows = tuple(row[: m - s] for row in rows)
+    if not frontier or m - s <= 2:  # on at most n**2 prefixes, filtering costs as much as a few whole blocks
+        return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
+    entries, groups = {}, {}
     for k, vector in enumerate(zip(*[gather(values) for gather, values in zip(gathers, bundles)])):
         entries.setdefault(vector, []).append(k)
     top = _maxima(entries)
-    return ([tuple(suffixes[k][0] for k in entries[vector]) for vector in top], [tuple] * n, list(zip(*top)),
-            [(tuple(groups[totals]), totals) for totals in _maxima(groups)])
+    if 4 * len(top) >= 3 * len(suffixes):  # rows near proportional: likely most prefixes are kept too
+        return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
+    for prefix, totals in _assignments(prefix_rows, prune):
+        groups.setdefault(tuple(totals), []).append(tuple(prefix))
+    kept = [(tuple(groups[totals]), totals) for totals in _maxima(groups)]
+    suffixes = [tuple(map(suffixes.__getitem__, entries[vector])) for vector in top]
+    if len(top) <= 2**s:  # no more terms to evaluate per column than the suffix has bundles
+        return suffixes, [tuple] * n, list(zip(*top)), kept
+    indices = [gather(range(2**s)) for gather in gathers]  # per agent, its subset of the suffix in each entry
+    return suffixes, [itemgetter(*[index[entries[v][0]] for v in top]) for index in indices], bundles, kept
 
 
 def _maxima(points):
-    """The points, distinct tuples of nonnegative ints, that no other point weakly exceeds
-    everywhere (the maxima of Kung, Luccio and Preparata, JACM 1975), in the given order."""
+    """The points, distinct tuples of nonnegative ints, that no other weakly exceeds everywhere (the maxima of Kung,
+    Luccio and Preparata, JACM 1975), in order; past three coordinates, also any only the later kept ones exceed."""
     points, kept = list(points), set()
-    if len(points[0]) <= 3:  # sorted descending, a dominator comes first, and one came iff a kept
-        ys, zs = [], []  # point's last two coordinates are no smaller: a staircase, zs falling as ys rise
+    if len(points[0]) <= 3:  # sorted descending, a dominator comes first: a staircase of the kept
+        ys, ws = [], []  # points' last two coordinates, y rising and w = -z too, holds one iff it dominates
         for point in sorted(points, reverse=True):
             _, y, z = (*point, 0, 0)[:3]
             i = bisect_left(ys, y)
-            if i == len(ys) or zs[i] < z:
-                lo = i
-                while lo and zs[lo - 1] <= z:
-                    lo -= 1
-                ys[lo:i], zs[lo:i] = [y], [z]
+            if i == len(ys) or ws[i] > -z:  # no kept point has y' >= y and z' >= z
+                lo = bisect_left(ws, -z, 0, i)  # the steps the point covers
+                ys[lo:i], ws[lo:i] = [y], [-z]
                 kept.add(point)
-        return [point for point in points if point in kept]
-    # A dominator has a larger sum.  Ranked, a coordinate is a field of ``width`` bits under a
-    # guard bit, and ``stack`` a block of fields per point kept: subtracting a point from
-    # each leaves a block's guard bits set (all its bits, with ``fill``) iff it is no smaller.
+        return list(filter(kept.__contains__, points))
+    # A dominator has a larger sum.  Ranked, a coordinate is a field under a guard bit, and ``stack`` a block per
+    # point of the first ``_BLOCK`` kept: subtracting a point leaves a block's guard bits set iff it is no smaller.
     columns = [list(map({v: r for r, v in enumerate(sorted(set(c)))}.__getitem__, c)) for c in zip(*points)]
     n, width = len(columns), len(points).bit_length() + 1
-    block, guard = n * width + 1, sum(1 << (width * i + width - 1) for i in range(n))
-    fill, stack, last = (1 << block - 1) - 1 - guard, 0, None
+    size, guard = n * width // 8 + 1, sum(1 << (width * i + width - 1) for i in range(n))
+    fill, one, blocks, last, count = (1 << 8 * size - 1) - 1 - guard, (1).to_bytes(size, "little"), [], None, 0
     packed = map(sum, zip(*[[r << width * i for r in c] for i, c in enumerate(columns)]))
-    for total, value, point in sorted(zip(map(sum, zip(*columns)), packed, points), reverse=True):
-        if total != last:  # points of one sum never dominate each other: compare with those kept before
-            last, ones = total, ((1 << block * len(kept)) - 1) // ((1 << block) - 1)
-            filled, tops = fill * ones, ones << block - 1
-        if not ((stack - value * ones | filled) + ones) & tops:  # no block carries into its top bit
-            stack |= (value | guard) << block * len(kept)
+    for total, value, point in sorted(zip(map(sum, points), packed, points), reverse=True):
+        if total != last and count < min(len(blocks), _BLOCK):  # points of one sum never dominate each other
+            count = min(len(blocks), _BLOCK)
+            stack, ones = int.from_bytes(b"".join(blocks[:count]), "little"), int.from_bytes(one * count, "little")
+            filled, tops = fill * ones, ones << 8 * size - 1
+        last = total
+        if not count or not ((stack - value * ones | filled) + ones) & tops:  # no block carries into its top bit
+            blocks.append((value | guard).to_bytes(size, "little"))
             kept.add(point)
-    return [point for point in points if point in kept]
+    return list(filter(kept.__contains__, points))
 
 
 def _suffix_length(n: int, m: int) -> int:
@@ -313,17 +315,17 @@ def _row_sums(rows, s: int):
     bundles = []
     for row in rows:
         sums = [0]
-        for value in row[len(row) - s:]:
-            sums = [total + gain for total in sums for gain in (0, value)]
+        for value in reversed(row[len(row) - s:]):  # good j is bit s - 1 - j: from the last good up
+            sums += list(map(value.__add__, sums))
         bundles.append(tuple(sums))
     rest = tuple(tuple(accumulate(reversed(row), initial=0))[::-1] for row in rows)
     return tuple(bundles), rest
 
 
 def _memo(build, rows, suffixes):
-    """``build`` of what a block column depends on (an agent and its prefix total, say), memoized
-    for the last :data:`_COLUMN_CAP` arguments if the walk has more than one prefix (else none recurs)."""
-    return lru_cache(_COLUMN_CAP)(build) if len(rows) ** (len(rows[0]) - len(suffixes[0][0])) > 1 else build
+    """``build`` of what a block column depends on (an agent and its prefix total, say), memoized for the
+    last :data:`_COLUMN_CAP` arguments if the block has fewer entries than allocations (else none recurs)."""
+    return lru_cache(_COLUMN_CAP)(build) if len(suffixes) < len(rows) ** len(rows[0]) else build
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ walk that hands over the allocations of the last goods as one block per
 prefix, in one scan that differs only in the key it builds a column at a
 time.  A scan memoizes each agent's column by its prefix total, up to a cap;
 the float scans keep ``f(t / L)`` per integer total ``t`` across calls.  The
-Nash ranking walks only the Pareto frontier of the prefixes and of the block
-entries: a Nash maximizer is Pareto optimal.  The float scans and the Pareto
-check walk everything: a float tie band can hold a dominated allocation, and
-the first dominator in order may lie off the frontier.
+Nash ranking walks only the Pareto frontier of the prefixes and block entries,
+as a Nash maximizer is Pareto optimal; the float scans and the Pareto check
+walk everything, as a float tie band can hold a dominated allocation and the
+first dominator in order may lie off the frontier.
 """
 
 import math
@@ -373,25 +373,25 @@ class _TieTracker:
     def _in_band(self, key):
         return key[0] == self.best[0] and key[1] >= self.floor
 
-    def offer_block(self, prefixes, suffixes, primary, secondaries):
-        """Offer each ``p + q``, ``p`` in ``prefixes`` and ``q`` in ``suffixes[k]``, under the key ``(primary,
-        secondaries[k])`` for every ``k`` in order; the scan drops the entries with a lower primary part first."""
+    def offer_block(self, prefix, suffixes, primary, secondaries):
+        """Offer ``prefix + suffixes[k]`` (a tuple ``prefix``: each ``p + q``, ``p`` in it, ``q`` in ``suffixes[k]``)
+        under the key ``(primary, secondaries[k])`` for every ``k`` in order; the scan drops lower primaries first."""
         top = max(secondaries)
         best = self.best
         if best is not None and (primary, top) < (best[0], self.floor):
             return
+        prefixes = prefix if (grouped := isinstance(prefix, tuple)) else (tuple(prefix),)  # else the walk's list
         if best is None or (primary, top) > best:
-            self.best = (primary, top)
-            self.floor = top - self.tolerance
-            self.assignment = prefixes[0] + suffixes[secondaries.index(top)][0]
+            self.best, self.floor, first = (primary, top), top - self.tolerance, suffixes[secondaries.index(top)]
+            self.assignment = prefixes[0] + (first[0] if grouped else first)
             self.near = {k: count for k, count in self.near.items() if self._in_band(k)}
             if self.members is not None:
                 self.members = [m for m in self.members if self._in_band(m[0])]
         for k in compress(range(len(secondaries)), map(le, repeat(self.floor), secondaries)):
             key = (primary, secondaries[k])
-            self.near[key] = self.near.get(key, 0) + len(prefixes) * len(suffixes[k])
+            self.near[key] = self.near.get(key, 0) + (len(prefix) * len(suffixes[k]) if grouped else 1)
             if self.members is not None:
-                self.members.append((key, prefixes, suffixes[k]))
+                self.members.append((key, prefixes, suffixes[k] if grouped else (suffixes[k],)))
 
 
 def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, frontier=False):
@@ -453,8 +453,7 @@ def _scan_welfare(profile, f, budget, keep_members=False):
     else:
         if kind == "ln":
             tracker = _TieTracker(0, keep_members)
-            _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n,
-                         frontier=True)
+            _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n, frontier=True)
         else:
             tracker = _TieTracker(TIE_TOLERANCE, keep_members)
             _scan_blocks(rows, tracker, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0,

@@ -228,8 +228,22 @@ class TestMaxima:
     @example([(3, 0, 1), (3, 1, 0), (2, 1, 1), (3, 1, 1), (1, 1, 3)])  # (3, 1, 1) beats three of them
     @settings(max_examples=300, deadline=None)
     def test_keeps_exactly_the_points_no_other_weakly_exceeds(self, points):
-        expected = [p for p in points if not any(q != p and all(map(operator.ge, q, p)) for q in points)]
-        assert model._maxima(points) == expected
+        assert model._maxima(points) == maxima(points)
+
+    @given(point_sets(), st.integers(1, 3))
+    @example([(9, 0, 0, 0), (0, 9, 0, 0), (0, 0, 9, 0), (0, 0, 8, 0)], 2)  # only the third beats the last
+    @settings(max_examples=200, deadline=None)
+    def test_past_a_window_of_kept_points_keeps_the_maxima_and_order(self, points, window):
+        with mock.patch.object(model, "_BLOCK", window):
+            kept = model._maxima(points)
+        assert set(maxima(points)) <= set(kept)
+        assert kept == [p for p in points if p in kept]
+        if len(points[0]) <= 3:  # the staircase has no window
+            assert kept == maxima(points)
+
+
+def maxima(points):
+    return [p for p in points if not any(q != p and all(map(operator.ge, q, p)) for q in points)]
 
 
 WELFARE_FUNCTIONS = (LogAffine(), LogAffine(2, -1), Affine(1, 0), Power(0.5), Power(2))
@@ -375,6 +389,14 @@ def walked_profiles(draw, entries):
     return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
 
 
+@st.composite
+def frontier_profiles(draw, entries):
+    """Shapes whose walk has over ``n**2`` prefixes at a 16-, 64- or 256-allocation block."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(*{2: (8, 11), 3: (6, 7), 4: (6, 6)}[n]))
+    return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
+
+
 class TestBlocks:
     @given(block_profiles(), st.sampled_from(BLOCK_FUNCTIONS))
     @example(Profile([[]]), LogAffine())
@@ -432,6 +454,7 @@ NEAR_TIE = Profile([[0, 0, 0], [0, 1, 999998112]])  # ln(999998113/999998112) < 
 ULP_LATER = Profile([[1, 9, 6, 0, 4], [2, 4, 1, 0, 2]])  # a later tie's ln sum is 1 ulp larger
 # three prefix goods; of the winning (prefix totals, entry totals) pairs ((4, 3), (12, 12)), ((1, 6), (15, 9)),
 # ((1, 6), (14, 10)) and ((0, 7), (15, 9)), the first maximizer (0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0) is in the second
+PROPORTIONAL = Profile([[2**j for j in range(11)], [3 * 2**j for j in range(11)]])  # all subset sums differ
 LATER_PAIR = Profile([[1, 4, 1, 3, 3, 4, 1, 2, 3, 4, 3], [1, 4, 2, 3, 3, 1, 0, 2, 4, 2, 1]])
 
 
@@ -460,20 +483,31 @@ class TestOneNashPath:
             assert nash == expected
 
 
-    @given(st.sampled_from((HUGE_ENTRIES, RATIONAL_ENTRIES)).flatmap(walked_profiles))
+    @given(st.sampled_from((HUGE_ENTRIES, RATIONAL_ENTRIES)).flatmap(frontier_profiles))
     @example(Profile([[1] * 9] * 2))  # 252 maximizers, the first (0, 0, 0, 0, 0, 1, 1, 1, 1)
     @example(Profile([[1] * 6] * 3))
     @example(Profile([[0] * 7, [1, 2, 3, 0, 0, 0, 1], [3, 0, 1, 2, 0, 0, 0]]))  # the fewest zeros decide
     @example(LATER_PAIR)
-    @settings(max_examples=30, deadline=None)
+    @example(PROPORTIONAL)
+    @settings(max_examples=20, deadline=None)
     def test_walks_of_several_prefixes_give_the_oracles_answer(self, profile):
         assignment, neg, finite = best_of(profile, LogAffine())
         members = tuple(map(Allocation, oracles.nash_members(profile)))
         expected = SolveResult(Allocation(assignment), ExtendedWelfare(neg, finite), len(members))
-        for size in block_sizes(profile):
+        for size in sorted({*block_sizes(profile), 16, 64}):
             with mock.patch.object(model, "_BLOCK", size):
                 assert every_entry_point(profile, LogAffine()) == (expected, members)
                 assert max_nash_welfare(profile) == expected
+
+    def test_the_frontier_is_skipped_where_most_block_entries_are_maxima(self):
+        def walk(profile):
+            suffixes, _, _, prefixes = model._blocks(_scaled_rows(profile, budget=10**7)[0], frontier=True)
+            return [group for group, _ in prefixes], suffixes
+
+        groups, suffixes = walk(LATER_PAIR)  # 8 prefixes: 6 prefix totals and 12 of the 256 entries' are kept
+        assert len(groups) == 6 and all(isinstance(group, tuple) for group in groups) and len(suffixes) == 12
+        groups, suffixes = walk(PROPORTIONAL)  # every allocation is Pareto optimal
+        assert len(groups) == 8 and suffixes == model._suffix_table(2, 8)[0]
 
     def test_identical_rows_count_every_even_split(self):
         result, members = welfare_maximizers(Profile([[1] * 9] * 2), LogAffine())

@@ -115,7 +115,7 @@ def walk(profile, budget=DEFAULT_ENUMERATION_BUDGET):
     """Every assignment the kernel visits, block by block, in its order."""
     rows, _ = _scaled_rows(profile, budget)
     suffixes, _, _, prefixes = _blocks(rows)
-    return [p + q for group, _ in prefixes for p in group for entry in suffixes for q in entry]
+    return [tuple(prefix) + suffix for prefix, _ in prefixes for suffix in suffixes]
 
 
 class TestEnumeration:
@@ -156,8 +156,8 @@ class TestEnumeration:
                 suffixes, _, _, prefixes = _blocks(rows)
                 size = len(suffixes)
                 assert size == min(block, 81)
-                for index, ((prefix,), _) in enumerate(prefixes):
-                    assert [prefix + suffix for (suffix,) in suffixes] == full[index * size:(index + 1) * size]
+                for index, (prefix, _) in enumerate(prefixes):
+                    assert [tuple(prefix) + suffix for suffix in suffixes] == full[index * size:(index + 1) * size]
 
     def test_allocation_count(self):
         assert allocation_count(Profile([[1, 1], [1, 1], [1, 1]])) == 9
