@@ -434,6 +434,47 @@ def linear_form(expr: Expression) -> tuple[str, Fraction] | None:
     return None
 
 
+def _rise(node, guarded=False):
+    """A lower bound on ``node`` at ``x = 0`` (``-inf`` included) where the rules of :func:`increasing` apply;
+    ``guarded`` under ``ln``, ``sqrt`` or ``^``, where no constant may be taken away."""
+    if isinstance(node, Var):
+        return Fraction(0)
+    if isinstance(node, Call):
+        low = _rise(node.operand, guarded or node.name != "exp")
+        if low is None or node.name != "exp" and low < 0:
+            return None
+        if node.name == "exp":
+            return max(Fraction(0), 1 + low)  # e^y >= 1 + y
+        return min(low, Fraction(1)) if node.name == "sqrt" else Fraction(0) if low >= 1 else -math.inf
+    if not isinstance(node, BinOp):  # a number, or the falling Neg
+        return None
+    left, right = _rise(node.left, guarded or node.op == "^"), _rise(node.right, guarded)
+    if node.op == "+" and left is not None and right is not None:
+        return left + right
+    if node.op in "+*" and left is None:  # a constant goes right
+        node, left = BinOp(node.op, node.right, node.left), right
+    form = None if left is None else _linear(node.right)
+    c = form[2] if form is not None and form[1] is None else None  # exact and free of x
+    if c is None or node.op in "*/^" and c <= 0 or node.op == "^" and left < 0:
+        return None
+    if guarded and (node.op == "-" or c < 0):  # rounding might cancel to 0 or below
+        return None
+    return Fraction(left >= 1) if node.op == "^" else _ARITHMETIC[node.op](left, c)
+
+
+def increasing(expr: Expression) -> bool:
+    """Whether rules prove ``expr`` strictly increasing on ``x >= 0`` and finite for ``x > 0`` (sound, not complete).
+    A part rises if it is ``x``; a sum of rising parts and exact constants, one rising; a rising part minus a constant,
+    or times or over a positive one; ``exp`` of a rising part; or, of a rising part at least 0 at ``x = 0``, its
+    ``sqrt``, its ``ln`` or its power to a positive constant, if no constant is taken away inside it.  Each rounds
+    monotonically and nothing cancels under ``ln``, ``sqrt`` or ``^``, so the floats fail only upwards, by overflow,
+    short of an argument of ``ln`` that underflows to 0 (``ln(x^3)+x`` at ``x = 10^-110``, say)."""
+    try:
+        return _rise(expr) is not None
+    except RecursionError:  # deeper than the walk can go: not proved
+        return False
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Outcome of a strict-increase check along a grid.

@@ -11,10 +11,11 @@ assignments of a prefix of the goods are walked in lexicographic order with
 incrementally updated integer bundle totals, and each prefix brings a
 precomputed block of every assignment of the last goods, evaluated a column
 at a time; a scan memoizes an agent's column by its prefix total, up to a cap.
-The Nash ranking walks only the Pareto frontier of the prefixes and of the
-block entries: a Nash maximizer is Pareto optimal.  The float welfare scans
-and the Pareto check walk everything: a float tie band can hold a dominated
-allocation, and the first dominator in order may lie off the frontier.
+The Nash ranking and the float scans of an ``f`` proved rising walk only the
+Pareto frontier of the prefixes and of the block entries: their maximizers are
+Pareto optimal.  The other float scans, whose tie band may hold a dominated
+allocation, and the Pareto check, whose first dominator may lie off the
+frontier, walk everything.
 """
 
 import json

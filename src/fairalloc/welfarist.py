@@ -7,7 +7,8 @@ ranks an ``f`` whose tree :func:`~fairalloc.funcparse.linear_form` recognises as
 ``a*ln(x) + c`` (maximum Nash welfare) by exact rational products, and one it
 recognises as ``a*x + c`` (utilitarian welfare) in closed form, by giving each good
 to an agent who values it most, so their argmax and tie count are immune to
-rounding; any other ``f`` is ranked by float sums within a tie band.  Every
+rounding; any other ``f`` by float sums within a tie band, whose Pareto-optimal members
+alone count if :func:`~fairalloc.funcparse.increasing` proves ``f`` rising.  Every
 solver breaks ties by the lexicographically smallest assignment vector.
 
 The scans walk the shared integer kernel of :mod:`fairalloc.model`, a prefix
@@ -15,10 +16,10 @@ walk that hands over the allocations of the last goods as one block per
 prefix, in one scan that differs only in the key it builds a column at a
 time.  A scan memoizes each agent's column by its prefix total, up to a cap;
 the float scans keep ``f(t / L)`` per integer total ``t`` across calls.  The
-Nash ranking walks only the Pareto frontier of the prefixes and block entries,
-as a Nash maximizer is Pareto optimal; the float scans and the Pareto check
-walk everything, as a float tie band can hold a dominated allocation and the
-first dominator in order may lie off the frontier.
+Nash ranking and the float scans of a rising ``f`` walk only the Pareto frontier of
+the prefixes and block entries, as their maximizers are Pareto optimal; the other
+float scans (their band may hold a dominated allocation) and the Pareto check (its
+first dominator may lie off the frontier) walk everything.
 """
 
 import math
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import compress, product, repeat
-from operator import add, le, mul
+from operator import add, ge, le, mul
 
 from .errors import ExpressionEvalError, InvalidWelfareFunctionError
 from .funcparse import (
@@ -39,6 +40,7 @@ from .funcparse import (
     Var,
     check_increasing,
     compile_expression,
+    increasing,
     linear_form,
     parse_expression,
 )
@@ -118,14 +120,21 @@ class WelfareFunction:
     @cached_property
     def _form(self):
         """The tree's :func:`~fairalloc.funcparse.linear_form`; ``None`` without a tree."""
+        return self._proof(linear_form)
+
+    @cached_property
+    def _increasing(self):
+        """Whether :func:`~fairalloc.funcparse.increasing` proves the tree rising; false without a tree."""
+        return bool(self._proof(increasing))
+
+    def _proof(self, prove):
         try:
-            tree = self.ast()
+            return prove(self.ast())
         except NotImplementedError:
             return None
-        return linear_form(tree)
 
     def __getstate__(self):
-        return {name: item for name, item in vars(self).items() if name not in ("_compiled", "_form")}
+        return {name: item for name, item in vars(self).items() if name not in ("_compiled", "_form", "_increasing")}
 
     def ast(self) -> Expression:
         raise NotImplementedError(f"{type(self).__name__} supplies no expression tree")
@@ -309,7 +318,8 @@ class SolveResult:
     :func:`max_nash_welfare`); for ``f`` recognised as affine, the allocations that give
     each good to an agent who values it most.  For any other ``f`` they are the
     allocations within :data:`TIE_TOLERANCE` of the maximum finite part, with
-    the same number of -inf terms; the maximum itself is found by strict comparison.
+    the same number of -inf terms; the maximum itself is found by strict comparison; if
+    :func:`~fairalloc.funcparse.increasing` proves ``f`` rising, those that are Pareto optimal.
     """
 
     allocation: Allocation
@@ -356,19 +366,18 @@ def _terms(f, scale):
 
 
 class _TieTracker:
-    """Running maximum of ``(primary, secondary)`` keys, plus a census of the
-    keys in its tie band: the same primary part, secondary at most
-    ``tolerance`` below.  Keys that fall out of the band never re-enter it
-    (the maximum only grows), so dropping them on each improvement is safe.
+    """Running maximum of ``(primary, secondary)`` keys, plus the members of its
+    tie band: the same primary part, secondary at most ``tolerance`` below.
+    Keys that fall out of the band never re-enter it (the maximum only grows),
+    so dropping them on each improvement is safe.
     """
 
-    def __init__(self, tolerance, keep_members=False):
+    def __init__(self, tolerance):
         self.tolerance = tolerance
         self.best = None
         self.floor = None  # lowest secondary part in the band
         self.assignment = None
-        self.near = {}  # key -> count
-        self.members = [] if keep_members else None  # (key, prefixes, suffixes)
+        self.members = []  # (key, prefixes, suffixes): every allocation p + q, p in prefixes, q in suffixes
 
     def _in_band(self, key):
         return key[0] == self.best[0] and key[1] >= self.floor
@@ -384,14 +393,28 @@ class _TieTracker:
         if best is None or (primary, top) > best:
             self.best, self.floor, first = (primary, top), top - self.tolerance, suffixes[secondaries.index(top)]
             self.assignment = prefixes[0] + (first[0] if grouped else first)
-            self.near = {k: count for k, count in self.near.items() if self._in_band(k)}
-            if self.members is not None:
-                self.members = [m for m in self.members if self._in_band(m[0])]
+            self.members = [m for m in self.members if self._in_band(m[0])]
         for k in compress(range(len(secondaries)), map(le, repeat(self.floor), secondaries)):
-            key = (primary, secondaries[k])
-            self.near[key] = self.near.get(key, 0) + (len(prefix) * len(suffixes[k]) if grouped else 1)
-            if self.members is not None:
-                self.members.append((key, prefixes, suffixes[k] if grouped else (suffixes[k],)))
+            self.members.append(((primary, secondaries[k]), prefixes, suffixes[k] if grouped else (suffixes[k],)))
+
+    def drop_dominated(self, rows):
+        """Keep the members whose totals on the scaled ``rows`` no other member's weakly exceed everywhere, and
+        take the first allocation at the top key left: for a rising ``f``, the band's Pareto-optimal allocations."""
+        if len(self.members) < 2:  # one member: one totals vector
+            return
+        vectors = []
+        for _, ps, qs in self.members:  # a member's allocations share their totals
+            vectors.append([0] * len(rows))
+            for good, agent in enumerate(ps[0] + qs[0]):
+                vectors[-1][agent] += rows[agent][good]
+        vectors, top = list(map(tuple, vectors)), []
+        for vector in sorted(set(vectors), key=sum, reverse=True):  # a dominator has a larger sum
+            if not any(all(map(ge, kept, vector)) for kept in top):
+                top.append(vector)
+        if len(top) < len(set(vectors)):  # else the first allocation at the top key is already the tracker's
+            self.members = list(compress(self.members, map(set(top).__contains__, vectors)))
+            best = max(key for key, _, _ in self.members)
+            self.assignment = min(ps[0] + qs[0] for key, ps, qs in self.members if key == best)
 
 
 def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, frontier=False):
@@ -400,7 +423,7 @@ def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, front
     An agent's terms are computed once per bundle of the last goods and gathered into a
     column per block.  The scan's :func:`_memo` keeps an agent's column and excluded terms'
     flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs.
-    ``frontier`` (see :func:`~fairalloc.model._blocks`) is only for a key that rises with each total."""
+    ``frontier`` (see :func:`~fairalloc.model._blocks`) is only for a key that no rising total lowers."""
     suffixes, gathers, bundles, prefixes = _blocks(rows, frontier=frontier)
 
     def build(agent, total):
@@ -442,7 +465,8 @@ def _scan_welfare(profile, f, budget, keep_members=False):
     form.  ``a*x + c`` has ``a > 0``, so its welfare is ``a/L`` times the value of each good to
     its owner, plus ``n*c``: its maximizers give each good to any of the agents who value it
     most, and the first one to the smallest.  ``a*ln(x) + c`` is ranked by the exact Nash key,
-    with no tie band; any other ``f`` by its float terms summed in agent order.  The welfare is
+    with no tie band; any other ``f`` by its float terms summed in agent order, over the frontier
+    with the band's dominated members dropped if it is proved rising.  The welfare is
     :func:`allocation_welfare` of the first maximizer; ``members``, if kept, lists every one."""
     rows, scale = _scaled_rows(profile, budget)
     kind = f._form and f._form[0]
@@ -452,14 +476,22 @@ def _scan_welfare(profile, f, budget, keep_members=False):
         members = list(product(*winners)) if keep_members else None
     else:
         if kind == "ln":
-            tracker = _TieTracker(0, keep_members)
+            tracker = _TieTracker(0)
             _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n, frontier=True)
-        else:
-            tracker = _TieTracker(TIE_TOLERANCE, keep_members)
-            _scan_blocks(rows, tracker, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0,
-                         combine=add, primary=0)
-        assignment, count = tracker.assignment, sum(tracker.near.values())
-        members = tracker.members and sorted(p + q for _, ps, qs in tracker.members for p, q in product(ps, qs))
+        else:  # a dominator of a proven f's band member is in the band, and fails where it fails
+            proven, tracker = f._increasing, _TieTracker(TIE_TOLERANCE)
+            scan = partial(_scan_blocks, rows, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0,
+                           combine=add, primary=0)
+            try:
+                scan(tracker, frontier=proven)
+            except InvalidWelfareFunctionError:  # raise what the full walk meets first
+                if not proven:
+                    raise
+                scan(tracker := _TieTracker(TIE_TOLERANCE))
+            if proven:
+                tracker.drop_dominated(rows)
+        assignment, count = tracker.assignment, sum(len(ps) * len(qs) for _, ps, qs in tracker.members)
+        members = sorted(p + q for _, ps, qs in tracker.members for p, q in product(ps, qs)) if keep_members else None
     allocation = Allocation(assignment)
     return SolveResult(allocation, allocation_welfare(profile, allocation, f), count), members
 
@@ -473,7 +505,8 @@ def maximize_welfare(
 ) -> SolveResult:
     """Maximize the additive welfare over all allocations; ``f`` recognised as
     log-affine is maximum Nash welfare, ranked exactly (see :func:`max_nash_welfare`),
-    and ``f`` recognised as affine is ranked exactly in closed form.
+    and ``f`` recognised as affine is ranked exactly in closed form; any other by float
+    sums, its maximizers the allocations within the tie band (and Pareto optimal if rising).
 
     ``method`` is ``"exhaustive"`` or ``"branch-and-bound"``; it is validated
     and has no effect, as both run the same ranking.
@@ -494,7 +527,8 @@ def welfare_maximizers(
     The second element lists every maximizer in lexicographic order: the exact
     ties of the Nash key for recognised log-affine ``f``, every allocation that gives
     each good to an agent who values it most for recognised affine ``f``, every allocation
-    within the tie band otherwise.  Its length equals ``maximizer_set_size``.
+    within the tie band otherwise, and Pareto optimal if ``f`` is proved rising.  Its length
+    equals ``maximizer_set_size``.
     """
     result, members = _scan_welfare(profile, f, budget, keep_members=True)
     return result, tuple(map(Allocation, members))

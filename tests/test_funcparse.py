@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,6 +14,7 @@ from fairalloc.errors import (
     ExpressionEvalError,
     ExpressionSyntaxError,
 )
+from fairalloc import funcparse
 from fairalloc.funcparse import (
     BinOp,
     Call,
@@ -25,6 +26,7 @@ from fairalloc.funcparse import (
     compile_expression,
     enclose_expression,
     evaluate_expression,
+    increasing,
     linear_form,
     parse_expression,
 )
@@ -330,3 +332,66 @@ class TestLinearForm:
 
     def test_the_utilitarian_power(self):
         assert linear_form(welfare_function_from_spec("power:1").ast()) == ("x", 1)
+
+
+def rising_candidates():
+    """Trees shaped by the rules of ``increasing``, with constants that may break them (0, or a
+    negative value at ``x = 0`` under ``ln``, ``sqrt`` or ``^``)."""
+    constants = st.builds(Num, st.fractions(min_value=0, max_value=9, max_denominator=8))
+
+    def extend(rising):
+        return st.one_of(
+            st.builds(Call, st.sampled_from(["ln", "exp", "sqrt"]), rising),
+            st.builds(BinOp, st.just("+"), rising, st.one_of(rising, constants)),
+            st.builds(BinOp, st.sampled_from(["-", "*", "/", "^"]), rising, constants),
+            st.builds(BinOp, st.sampled_from(["+", "*"]), constants, rising),
+        )
+
+    return st.recursive(st.just(Var()), extend, max_leaves=8)
+
+
+#: Ascending points from 1/1000 to 10^12 at which ``increasing`` trees are checked.
+RISING_GRID = tuple(map(Fraction, ("1/1000", "1/10", "1/2", 1, 2, 3, 10, 100, 10**4, 10**6, 10**9, 10**12)))
+
+
+class TestIncreasingProof:
+    """``increasing`` proves a tree strictly increasing on ``x >= 0``, finite for ``x > 0``, or answers False."""
+
+    @pytest.mark.parametrize("text", [
+        "x^(1/2)", "x^2", "x^3", "exp(x)", "ln(x+1)", "x^2+x", "ln(x)+x/10^12", "2*exp(x)-1",
+        "x", "ln(x)", "sqrt(x)", "sqrt(ln(x+1))", "(x+1)^2/3+7", "exp(ln(x))", "ln(x+1/2)", "exp(x-5)", "ln(x)-1",
+    ])
+    def test_proven_trees(self, text):
+        assert increasing(parse_expression(text))
+
+    @pytest.mark.parametrize("text", [
+        "x-x^2/100", "-1/x", "x-ln(x+1)",  # falls past x = 50; divides by 0 at 0; rises, but no rule shows it
+        "5", "-x", "x*x", "x*0+x", "x+ln(2)", "x+ln(0)", "sqrt(x-1)", "ln(x-1)", "(x-1)^2", "x^(-1)", "2^x",
+        "-(1-x)", "x/0", "x*(0-1)",
+        # rising, but floats may cancel to 0 or below near 0: exp(x)-1 is 0 at x = 10^-20
+        "ln(exp(x)-1)", "sqrt(x+3/10-1/10-2/10)", "(x+1-1)^(1/2)", "ln(x+(0-1)+2)", "ln(exp(x-800))",
+    ])
+    def test_unproven_trees(self, text):
+        assert not increasing(parse_expression(text))
+
+    def test_a_tree_deeper_than_the_walk_is_not_proven(self):
+        assert not increasing(parse_expression("x" + "+x" * 5000))
+
+    @given(st.one_of(rising_candidates(), expression_trees()))
+    @settings(max_examples=300, deadline=None)
+    def test_every_proven_tree_rises_and_fails_in_floats_only_upwards(self, tree):
+        assume(increasing(tree))
+        fails = [float_fails(tree, x) for x in (Fraction(1, 10**20), *RISING_GRID)]
+        assert fails == sorted(fails)  # past the first failing point, every one fails: the floats overflow
+        for a, b, failed in zip(RISING_GRID, RISING_GRID[1:], fails[2:]):
+            assert failed or funcparse._rises(tree, a, b)
+
+
+def float_fails(tree, x):
+    """Whether the float tree raises at ``x``: overflow, or ``sqrt`` or a power of a value rounded below 0
+    (``ln`` of a value rounded to 0 gives ``-inf``, as it does where a tiny ``x`` underflows)."""
+    try:
+        evaluate_expression(tree, x)
+    except ExpressionEvalError:
+        return True
+    return False

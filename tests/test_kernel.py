@@ -7,10 +7,12 @@ prefix.  These tests feed it rational profiles whose rows have different
 denominators, with zeros that leave some agent at utility 0, and compare
 each consumer with the definitions in ``oracles``, which go through the
 allocations one at a time; the block tests do so at several block sizes.
-The maxima filter behind the Nash ranking's frontier is checked against the
-definition of a maximal point.
+The maxima filter behind the frontier rankings is checked against the
+definition of a maximal point.  For a welfare function whose tree is proved
+rising, the float oracle keeps only the tie band's Pareto-optimal members.
 """
 
+import functools
 import math
 import operator
 import random
@@ -107,33 +109,45 @@ def form_of(f):
     return f._form and f._form[0]
 
 
+@functools.lru_cache(maxsize=4)
+def float_band(profile, f):
+    """``(assignment, -inf count, float welfare)`` of every allocation within the tie band
+    of the oracle's maximum, in order; for an ``f`` whose tree is proved rising, only
+    those that ``oracles.pareto_dominators`` finds undominated."""
+    table = oracles.welfare_table(profile, f.value)
+    _, best_neg, best_finite = max(table, key=lambda row: (-row[1], row[2]))  # the first of the largest
+    band = [row for row in table if row[1] == best_neg and row[2] >= best_finite - TIE_TOLERANCE]
+    if f._increasing:  # allocations of equal utilities have the same dominators
+        vectors = [tuple(oracles.utilities_of(profile, row[0])) for row in band]
+        some = dict(zip(vectors, (row[0] for row in band)))
+        undominated = {vector for vector, a in some.items() if not oracles.pareto_dominators(profile, a)}
+        band = [row for row, vector in zip(band, vectors) if vector in undominated]
+    return band
+
+
 def best_of(profile, f):
     """The oracle's first maximizer, its -inf count and its float welfare: the
     Nash key ranks a recognised log-affine ``f`` exactly, the exact total ranks a
-    recognised affine ``f``, float sums rank any other ``f``."""
+    recognised affine ``f``, float sums rank any other ``f``, and the answer is
+    the first member of :func:`float_band` at its highest key."""
     if form_of(f) == "ln":
         assignment = oracles.best_nash(profile)[0]
     elif form_of(f) == "x":
         assignment = oracles.best_utilitarian(profile)[0]
     else:
-        return oracles.best_welfare(profile, f.value)
+        return max(float_band(profile, f), key=lambda row: (-row[1], row[2]))  # the first of the largest
     return next(row for row in oracles.welfare_table(profile, f.value) if row[0] == assignment)
 
 
 def band_of(profile, f):
     """Every maximizer in order: the exact Nash ties for a recognised log-affine
-    ``f``, the exact ties of the total for a recognised affine ``f``, else every
-    allocation within the tie band of the oracle's maximum."""
+    ``f``, the exact ties of the total for a recognised affine ``f``, else the
+    allocations of :func:`float_band`."""
     if form_of(f) == "ln":
         return oracles.nash_members(profile)
     if form_of(f) == "x":
         return oracles.best_utilitarian(profile)[2]
-    _, best_neg, best_finite = oracles.best_welfare(profile, f.value)
-    return [
-        candidate
-        for candidate, neg, finite in oracles.welfare_table(profile, f.value)
-        if neg == best_neg and finite >= best_finite - TIE_TOLERANCE
-    ]
+    return [row[0] for row in float_band(profile, f)]
 
 
 class TestWalk:
@@ -346,6 +360,8 @@ def block_profiles(draw):
     return Profile([[draw(entries) for _ in range(m)] for _ in range(n)])
 
 
+SQRT_2_POW_53 = [[0] * 9, [0] * 7 + [1, 2**53]]  # sqrt(2**53 + 1) rounds to sqrt(2**53)
+
 BLOCK_FUNCTIONS = (
     LogAffine(), Affine(1, 0), Power(0.5), Power(2), Exp(),
     CustomExpression.from_text("ln(x+1)"), CustomExpression.from_text("ln(x)"),
@@ -408,6 +424,7 @@ class TestBlocks:
              CustomExpression.from_text("ln(x)"))  # 729: three blocks
     @example(Profile([[10**5, 0, 800], [1, 1, 1]]), Exp())  # 800 overflows first bundle by bundle
     @example(Profile([[1, 0], [0, 1]]), CustomExpression.from_text("-(1-x)"))  # f(1) = -0.0; best sum 0.0
+    @example(Profile(SQRT_2_POW_53), Power(Fraction(1, 2)))  # a dominated band member at every split
     @settings(max_examples=150, deadline=None)
     def test_welfare_scans_match_the_leaf_order_at_every_block_size(self, profile, f):
         expected = outcome(lambda: leaf_order_welfare(profile, f))
@@ -578,6 +595,44 @@ class TestOneUtilitarianPath:
                 call(profile, Affine(1, 0), budget=26)
         with pytest.raises(EnumerationBudgetError):
             maximize_welfare(profile, Affine(1, 0), budget=26, method="branch-and-bound")
+
+
+RISING = tuple(map(welfare_function_from_spec, ("power:1/2", "power:2", "exp", "expr:ln(x+1)", "expr:x^2+x")))
+DOMINATED_IN_THE_BAND = [  # the float band also held allocations that these answers Pareto-dominate
+    ([[9, 8, 9, 4, 8, 0, 8], [5, 4, 5, 9, 2, 9, 4]], Exp(), (0, 0, 0, 0, 0, 1, 0), 1),  # exp(46)+exp(9) rounds
+    (SQRT_2_POW_53, Power(Fraction(1, 2)), (0,) * 7 + (1, 1), 128),  # good 7 to agent 0 tied
+]
+
+
+class TestRisingRules:
+    """An ``f`` that ``funcparse.increasing`` proves rising, and no other, is ranked over the kernel's
+    Pareto frontier, and its tie band keeps only the members that no other member dominates."""
+
+    @given(st.sampled_from((HUGE_ENTRIES, RATIONAL_ENTRIES)).flatmap(frontier_profiles), st.sampled_from(RISING))
+    @example(Profile(SQRT_2_POW_53), RISING[0])
+    @example(Profile([[1] * 9] * 2), RISING[0])  # every even split ties, and none dominates another
+    @example(Profile([[1] * 6] * 3), RISING[4])
+    # leaf order overflows first at 800 (agent 2 gets good 5); the frontier (good 0 to agent 1) at 10^5
+    @example(Profile([[0] * 6, [10**5] + [0] * 5, [0] * 5 + [800]]), RISING[2])
+    @settings(max_examples=25, deadline=None)
+    def test_frontier_walks_give_the_oracles_answer_at_every_block_size(self, profile, f):
+        expected = outcome(lambda: leaf_order_welfare(profile, f))
+        for size in sorted({1, 2, profile.n, 16, 64, 256}):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert outcome(lambda: block_welfare(profile, f)) == expected
+
+    @pytest.mark.parametrize("rows, f, assignment, ties", DOMINATED_IN_THE_BAND)
+    def test_a_dominated_band_member_is_no_maximizer(self, rows, f, assignment, ties):
+        profile = Profile(rows)
+        result, members = every_entry_point(profile, f)
+        assert (result.allocation.assignment, result.maximizer_set_size, len(members)) == (assignment, ties, ties)
+        assert all(is_pareto_optimal(profile, allocation).optimal for allocation in members)
+
+    def test_an_unproven_tree_walks_everything_and_keeps_the_whole_band(self):
+        f = welfare_function_from_spec("expr:x-x^2/100")  # falls past x = 50
+        assert RISING[0]._increasing and not f._increasing
+        result = solve(Profile([[120, 0], [0, 0]]), f)
+        assert (result.allocation.assignment, result.maximizer_set_size) == ((1, 0), 2)
 
 
 @dataclass(frozen=True)
