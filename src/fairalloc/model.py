@@ -11,11 +11,12 @@ assignments of a prefix of the goods are walked in lexicographic order with
 incrementally updated integer bundle totals, and each prefix brings a
 precomputed block of every assignment of the last goods, evaluated a column
 at a time; a scan memoizes an agent's column by its prefix total, up to a cap.
-The Nash ranking and the float scans of an ``f`` proved rising walk only the
-Pareto frontier of the prefixes and of the block entries: their maximizers are
-Pareto optimal.  The other float scans, whose tie band may hold a dominated
-allocation, and the Pareto check, whose first dominator may lie off the
-frontier, walk everything.
+The Pareto check walks the prefixes one by one, as it may prune them and its
+first dominator may lie off any frontier.  The welfare ranking walks them
+grouped by their totals, each group once, and for an ``f`` proved rising (the
+Nash product among them) only the Pareto frontier of the groups and of the
+block entries: its maximizers are Pareto optimal.  Any other ``f``, whose tie
+band may hold a dominated allocation, walks every group.
 """
 
 import json
@@ -220,9 +221,10 @@ def _assignments(rows, prune=None):
 
 @lru_cache(maxsize=64)
 def _suffix_table(n: int, s: int):
-    """Every assignment of ``s`` goods to ``n`` agents in lexicographic order,
-    and per agent a getter of its bundle in each, out of the ``2**s`` subsets
-    of the goods (bit ``s - 1 - j`` set when the bundle holds good ``j``)."""
+    """Every assignment of ``s`` goods to ``n`` agents in lexicographic order; per
+    agent a getter of its bundle in each, out of the ``2**s`` subsets of the goods
+    (bit ``s - 1 - j`` set when the bundle holds good ``j``); and each assignment
+    alone in a 1-tuple."""
     suffixes = tuple(product(range(n), repeat=s))
     gathers = []
     for agent in range(n):
@@ -231,10 +233,10 @@ def _suffix_table(n: int, s: int):
             index = [2 * bundle + (owner == agent) for bundle in index for owner in range(n)]
         # itemgetter of one index returns the item itself, not a 1-tuple
         gathers.append(itemgetter(*index) if len(index) > 1 else lambda values, i=index[0]: (values[i],))
-    return suffixes, tuple(gathers)
+    return suffixes, tuple(gathers), tuple((suffix,) for suffix in suffixes)
 
 
-def _blocks(rows, prune=None, frontier=False):
+def _blocks(rows, prune=None):
     """The kernel's walk, as ``(suffixes, gathers, bundles, prefixes)``.
 
     The last ``s`` goods, ``s`` the largest count with ``n**s <= _BLOCK``
@@ -244,26 +246,35 @@ def _blocks(rows, prune=None, frontier=False):
     ``totals[i] + gathers[i](bundles[i])[k]`` and ``bundles[i]`` is its value
     for each subset of the suffix.  So a consumer evaluates the ``2**s``
     bundles (each some agent's in some entry) and gathers, not ``n**s`` entries.
-    ``frontier``, for a key that rises when a total rises and none falls, keeps on each side one tuple of the
-    assignments per totals that no other's weakly exceed (:func:`_maxima`), ``prefixes`` listing ``(group, totals)``,
-    unless the walk has at most ``n**2`` prefixes or a block keeps at least three in four entries.
     """
     n, m = len(rows), len(rows[0])
     s = _suffix_length(n, m)
-    bundles, _ = _row_sums(rows, s)
-    suffixes, gathers = _suffix_table(n, s)
-    prefix_rows = tuple(row[: m - s] for row in rows)
+    suffixes, gathers, _ = _suffix_table(n, s)
+    return suffixes, gathers, _row_sums(rows, s)[0], _assignments(tuple(row[: m - s] for row in rows), prune)
+
+
+def _groups(rows, frontier):
+    """The ranking's walk: :func:`_blocks` with ``prefixes`` grouped as ``(group, totals)``, each group a list of
+    the prefixes of those totals in order, the groups in order of their first prefix, and each ``suffixes[k]`` a
+    tuple of suffixes: the block of a group is every ``p + q``, ``p`` in the group and ``q`` in ``suffixes[k]``.
+    ``frontier``, for a key that rises when a total rises and none falls, keeps on each side only the totals that
+    no other's weakly exceed (:func:`_maxima`), each ``suffixes[k]`` then holding every suffix of one kept totals,
+    unless the walk has at most ``n**2`` prefixes or a block keeps at least three in four entries."""
+    suffixes, gathers, bundles, prefixes = _blocks(rows)
+    n, m, s = len(rows), len(rows[0]), len(suffixes[0])
+    groups = {}
+    for prefix, totals in prefixes:
+        groups.setdefault(tuple(totals), []).append(tuple(prefix))
+    walk = _suffix_table(n, s)[2], gathers, bundles, zip(groups.values(), groups)
     if not frontier or m - s <= 2:  # on at most n**2 prefixes, filtering costs as much as a few whole blocks
-        return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
-    entries, groups = {}, {}
+        return walk
+    entries = {}
     for k, vector in enumerate(zip(*[gather(values) for gather, values in zip(gathers, bundles)])):
         entries.setdefault(vector, []).append(k)
     top = _maxima(entries)
     if 4 * len(top) >= 3 * len(suffixes):  # rows near proportional: likely most prefixes are kept too
-        return suffixes, gathers, bundles, _assignments(prefix_rows, prune)
-    for prefix, totals in _assignments(prefix_rows, prune):
-        groups.setdefault(tuple(totals), []).append(tuple(prefix))
-    kept = [(tuple(groups[totals]), totals) for totals in _maxima(groups)]
+        return walk
+    kept = [(groups[totals], totals) for totals in _maxima(groups)]
     suffixes = [tuple(map(suffixes.__getitem__, entries[vector])) for vector in top]
     if len(top) <= 2**s:  # no more terms to evaluate per column than the suffix has bundles
         return suffixes, [tuple] * n, list(zip(*top)), kept
@@ -437,12 +448,10 @@ def loads_allocation(text: str) -> Allocation:
     assignment = data["assignment"]
     if not isinstance(assignment, list):
         raise AllocationFormatError('"assignment" must be a list of agent indices')
-    for j, agent in enumerate(assignment):
-        if isinstance(agent, bool) or not isinstance(agent, int) or agent < 0:
-            raise AllocationFormatError(
-                f"good {j} assigned to invalid agent {agent!r}"
-            )
-    return Allocation(tuple(assignment))
+    try:
+        return Allocation(tuple(assignment))
+    except ValueError as exc:
+        raise AllocationFormatError(str(exc)) from None
 
 
 def dumps_allocation(allocation: Allocation) -> str:

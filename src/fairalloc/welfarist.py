@@ -11,20 +11,20 @@ rounding; any other ``f`` by float sums within a tie band, whose Pareto-optimal 
 alone count if :func:`~fairalloc.funcparse.increasing` proves ``f`` rising.  Every
 solver breaks ties by the lexicographically smallest assignment vector.
 
-The scans walk the shared integer kernel of :mod:`fairalloc.model`, a prefix
-walk that hands over the allocations of the last goods as one block per
-prefix, in one scan that differs only in the key it builds a column at a
-time.  A scan memoizes each agent's column by its prefix total, up to a cap;
-the float scans keep ``f(t / L)`` per integer total ``t`` across calls.  The
-Nash ranking and the float scans of a rising ``f`` walk only the Pareto frontier of
-the prefixes and block entries, as their maximizers are Pareto optimal; the other
-float scans (their band may hold a dominated allocation) and the Pareto check (its
-first dominator may lie off the frontier) walk everything.
+Both rankings that are not closed form share one scan over the kernel of
+:mod:`fairalloc.model`, which groups the prefixes of the goods by their totals
+and hands over the allocations of the last goods as one block per group; they
+differ only in the term, how terms combine and the tie tolerance.  A scan
+memoizes each agent's column by its prefix total, up to a cap; ``f`` keeps
+``f(t / L)`` per integer total ``t`` across calls.  A rule proved rising, the
+Nash product among them, walks only the Pareto frontier of the groups and block
+entries and keeps only the band's undominated members, as its maximizers are
+Pareto optimal; any other ``f`` walks everything, as its band may hold a
+dominated allocation.
 """
 
 import math
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -48,7 +48,7 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,
     Profile,
-    _blocks,
+    _groups,
     _memo,
     _scaled_rows,
     _totals,
@@ -66,8 +66,6 @@ INCREASING_VALIDATION_GRID = tuple(i / 10 for i in range(1, 101))
 
 #: Most distinct bundle totals whose welfare terms one memo keeps.
 _TERMS_CAP = 1 << 12
-#: Most (function, scale) pairs whose memos are kept across calls.
-_MEMO_COUNT = 8
 
 
 def _sized(x) -> str:
@@ -134,7 +132,8 @@ class WelfareFunction:
             return None
 
     def __getstate__(self):
-        return {name: item for name, item in vars(self).items() if name not in ("_compiled", "_form", "_increasing")}
+        cached = ("_compiled", "_form", "_increasing", "_terms")
+        return {name: item for name, item in vars(self).items() if name not in cached}
 
     def ast(self) -> Expression:
         raise NotImplementedError(f"{type(self).__name__} supplies no expression tree")
@@ -314,12 +313,13 @@ class SolveResult:
     """A welfare-maximizing allocation, its :func:`allocation_welfare` under ``f``,
     and the number of maximizers.
 
-    For ``f`` recognised as log-affine these are the exact ties of the Nash key (see
-    :func:`max_nash_welfare`); for ``f`` recognised as affine, the allocations that give
-    each good to an agent who values it most.  For any other ``f`` they are the
-    allocations within :data:`TIE_TOLERANCE` of the maximum finite part, with
-    the same number of -inf terms; the maximum itself is found by strict comparison; if
-    :func:`~fairalloc.funcparse.increasing` proves ``f`` rising, those that are Pareto optimal.
+    For ``f`` recognised as affine these are the allocations that give each good to an
+    agent who values it most.  Any other ``f`` ranks by the fewest -inf terms, then the
+    others: for ``f`` recognised as log-affine the maximizers are the exact ties of the
+    Nash product (see :func:`max_nash_welfare`), for any other the allocations within
+    :data:`TIE_TOLERANCE` of the maximum finite part, found by strict comparison.  Of
+    these, if ``f`` is log-affine or :func:`~fairalloc.funcparse.increasing` proves it
+    rising, only those that are Pareto optimal count (every Nash tie is).
     """
 
     allocation: Allocation
@@ -348,20 +348,12 @@ class _Terms(dict):
         return term
 
 
-_memos = OrderedDict()  # (id(f), scale) -> _Terms, least recently used first
-
-
 def _terms(f, scale):
-    """The memo of ``f`` at ``scale``, kept for the last :data:`_MEMO_COUNT`
-    pairs used.  It is keyed by the identity of ``f`` and holds ``f``, so the
-    identity is not reused while it lives, and ``f`` need not be hashable."""
-    key = (id(f), scale)
-    terms = _memos.pop(key, None)
-    if terms is None:
-        terms = _Terms(f, scale)
-        if len(_memos) >= _MEMO_COUNT:
-            _memos.popitem(last=False)
-    _memos[key] = terms
+    """The memo of ``f`` at ``scale``, kept on ``f`` for the last scale it was used at (no part of
+    equality, hash, repr or pickling), so ``f`` need not be hashable and two functions never share one."""
+    terms = vars(f).get("_terms")
+    if terms is None or terms.scale != scale:
+        terms = vars(f)["_terms"] = _Terms(f, scale)
     return terms
 
 
@@ -382,32 +374,27 @@ class _TieTracker:
     def _in_band(self, key):
         return key[0] == self.best[0] and key[1] >= self.floor
 
-    def offer_block(self, prefix, suffixes, primary, secondaries):
-        """Offer ``prefix + suffixes[k]`` (a tuple ``prefix``: each ``p + q``, ``p`` in it, ``q`` in ``suffixes[k]``)
-        under the key ``(primary, secondaries[k])`` for every ``k`` in order; the scan drops lower primaries first."""
+    def offer_block(self, prefixes, suffixes, primary, secondaries):
+        """Offer each ``p + q``, ``p`` in ``prefixes`` and ``q`` in ``suffixes[k]``, under the key
+        ``(primary, secondaries[k])`` for every ``k`` in order; the scan drops lower primaries first."""
         top = max(secondaries)
         best = self.best
         if best is not None and (primary, top) < (best[0], self.floor):
             return
-        prefixes = prefix if (grouped := isinstance(prefix, tuple)) else (tuple(prefix),)  # else the walk's list
         if best is None or (primary, top) > best:
-            self.best, self.floor, first = (primary, top), top - self.tolerance, suffixes[secondaries.index(top)]
-            self.assignment = prefixes[0] + (first[0] if grouped else first)
+            self.best, self.floor = (primary, top), top - self.tolerance
+            self.assignment = prefixes[0] + suffixes[secondaries.index(top)][0]
             self.members = [m for m in self.members if self._in_band(m[0])]
         for k in compress(range(len(secondaries)), map(le, repeat(self.floor), secondaries)):
-            self.members.append(((primary, secondaries[k]), prefixes, suffixes[k] if grouped else (suffixes[k],)))
+            self.members.append(((primary, secondaries[k]), prefixes, suffixes[k]))
 
-    def drop_dominated(self, rows):
-        """Keep the members whose totals on the scaled ``rows`` no other member's weakly exceed everywhere, and
-        take the first allocation at the top key left: for a rising ``f``, the band's Pareto-optimal allocations."""
-        if len(self.members) < 2:  # one member: one totals vector
+    def drop_dominated(self, profile):
+        """Keep the members whose totals no other member's weakly exceed everywhere, and take the first
+        allocation at the top key left: for a rising ``f``, the band's Pareto-optimal allocations."""
+        if len(self.members) < 2 or not self.tolerance:  # one totals vector; or no band: a dominator's key is higher
             return
-        vectors = []
-        for _, ps, qs in self.members:  # a member's allocations share their totals
-            vectors.append([0] * len(rows))
-            for good, agent in enumerate(ps[0] + qs[0]):
-                vectors[-1][agent] += rows[agent][good]
-        vectors, top = list(map(tuple, vectors)), []
+        # a member's allocations share their totals
+        vectors, top = [tuple(_totals(profile, Allocation(ps[0] + qs[0]))) for _, ps, qs in self.members], []
         for vector in sorted(set(vectors), key=sum, reverse=True):  # a dominator has a larger sum
             if not any(all(map(ge, kept, vector)) for kept in top):
                 top.append(vector)
@@ -417,14 +404,14 @@ class _TieTracker:
             self.assignment = min(ps[0] + qs[0] for key, ps, qs in self.members if key == best)
 
 
-def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, frontier=False):
-    """Offer every allocation of the kernel's walk to ``tracker`` under the key ``(primary -
-    number of agents whose term is excluded, the others' terms combined in agent order)``.
+def _scan_blocks(rows, tracker, term, excluded, neutral, combine, frontier):
+    """Offer every allocation of the kernel's grouped walk to ``tracker`` under the key ``(-e, the
+    others' terms combined in agent order)``, ``e`` the number of agents whose term is ``excluded``.
     An agent's terms are computed once per bundle of the last goods and gathered into a
     column per block.  The scan's :func:`_memo` keeps an agent's column and excluded terms'
     flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs.
-    ``frontier`` (see :func:`~fairalloc.model._blocks`) is only for a key that no rising total lowers."""
-    suffixes, gathers, bundles, prefixes = _blocks(rows, frontier=frontier)
+    ``frontier`` (see :func:`~fairalloc.model._groups`) is only for a key that no rising total lowers."""
+    suffixes, gathers, bundles, prefixes = _groups(rows, frontier)
 
     def build(agent, total):
         gather, terms = gathers[agent], [term(total + value) for value in bundles[agent]]
@@ -455,41 +442,41 @@ def _scan_blocks(rows, tracker, term, excluded, neutral, combine, primary, front
             raise
         if flagged:
             least, keep, kept = fewest_of(tuple(flagged))
-            tracker.offer_block(prefix, kept, primary - least, list(compress(keys, keep)))
+            tracker.offer_block(prefix, kept, -least, list(compress(keys, keep)))
         else:
-            tracker.offer_block(prefix, suffixes, primary, keys)
+            tracker.offer_block(prefix, suffixes, 0, keys)
 
 
 def _scan_welfare(profile, f, budget, keep_members=False):
     """The one ranking behind every solver, once the budget is checked, by ``f``'s recognised
     form.  ``a*x + c`` has ``a > 0``, so its welfare is ``a/L`` times the value of each good to
     its owner, plus ``n*c``: its maximizers give each good to any of the agents who value it
-    most, and the first one to the smallest.  ``a*ln(x) + c`` is ranked by the exact Nash key,
-    with no tie band; any other ``f`` by its float terms summed in agent order, over the frontier
-    with the band's dominated members dropped if it is proved rising.  The welfare is
-    :func:`allocation_welfare` of the first maximizer; ``members``, if kept, lists every one."""
+    most, and the first one to the smallest.  Any other ``f`` goes through one scan: ``a*ln(x) + c``
+    by the exact Nash key (the fewest zero totals, then the product of the others), with no tie
+    band, and the rest by float terms summed in agent order within the tie band.  A rule proved
+    rising, the Nash key among them, walks the frontier and drops the band's dominated members.
+    The welfare is :func:`allocation_welfare` of the first maximizer; ``members``, if kept, lists every one."""
     rows, scale = _scaled_rows(profile, budget)
     kind = f._form and f._form[0]
     if kind == "x":
         winners = [list(compress(range(profile.n), map(max(column).__eq__, column))) for column in zip(*rows)]
         assignment, count = tuple(agents[0] for agents in winners), math.prod(map(len, winners))
         members = list(product(*winners)) if keep_members else None
-    else:
+    else:  # a dominator of a proven f's band member is in the band, and fails where it fails
         if kind == "ln":
-            tracker = _TieTracker(0)
-            _scan_blocks(rows, tracker, term=int, excluded=0, neutral=1, combine=mul, primary=profile.n, frontier=True)
-        else:  # a dominator of a proven f's band member is in the band, and fails where it fails
-            proven, tracker = f._increasing, _TieTracker(TIE_TOLERANCE)
-            scan = partial(_scan_blocks, rows, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0,
-                           combine=add, primary=0)
-            try:
-                scan(tracker, frontier=proven)
-            except InvalidWelfareFunctionError:  # raise what the full walk meets first
-                if not proven:
-                    raise
-                scan(tracker := _TieTracker(TIE_TOLERANCE))
-            if proven:
-                tracker.drop_dominated(rows)
+            tolerance, scan = 0, partial(_scan_blocks, rows, term=int, excluded=0, neutral=1, combine=mul)
+        else:
+            tolerance, scan = TIE_TOLERANCE, partial(
+                _scan_blocks, rows, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0, combine=add)
+        proven = kind == "ln" or f._increasing
+        try:
+            scan(tracker := _TieTracker(tolerance), frontier=proven)
+        except InvalidWelfareFunctionError:  # raise what the full walk meets first
+            if not proven:
+                raise
+            scan(tracker := _TieTracker(tolerance), frontier=False)
+        if proven:
+            tracker.drop_dominated(profile)
         assignment, count = tracker.assignment, sum(len(ps) * len(qs) for _, ps, qs in tracker.members)
         members = sorted(p + q for _, ps, qs in tracker.members for p, q in product(ps, qs)) if keep_members else None
     allocation = Allocation(assignment)

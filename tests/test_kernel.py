@@ -7,14 +7,18 @@ prefix.  These tests feed it rational profiles whose rows have different
 denominators, with zeros that leave some agent at utility 0, and compare
 each consumer with the definitions in ``oracles``, which go through the
 allocations one at a time; the block tests do so at several block sizes.
+The ranking's walk groups the prefixes by their totals, and is checked to
+hand over each allocation once, and every Pareto-optimal one on the frontier.
 The maxima filter behind the frontier rankings is checked against the
 definition of a maximal point.  For a welfare function whose tree is proved
 rising, the float oracle keeps only the tie band's Pareto-optimal members.
 """
 
+import copy
 import functools
 import math
 import operator
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,11 +303,12 @@ class TestTermMemo:
     def test_scans_past_a_full_memo_give_the_same_results(self, profile, f):
         expected = [maximize_welfare(profile, f, method=m) for m in ("exhaustive", "branch-and-bound")]
         expected_band = welfare_maximizers(profile, f)
-        # memos filled by earlier calls would answer without reaching the cap
-        with mock.patch.object(welfarist, "_TERMS_CAP", 2), mock.patch.dict(welfarist._memos, clear=True):
+        f = copy.copy(f)  # no memo: one filled by earlier calls would answer without reaching the cap
+        assert "_terms" not in vars(f)
+        with mock.patch.object(welfarist, "_TERMS_CAP", 2):
             assert [maximize_welfare(profile, f, method=m) for m in ("exhaustive", "branch-and-bound")] == expected
             assert welfare_maximizers(profile, f) == expected_band
-            assert all(len(terms) <= 2 for terms in welfarist._memos.values())
+            assert len(vars(f)["_terms"]) <= 2
 
     def test_functions_with_the_same_scale_never_share_terms(self):
         profile = Profile([[3, 5], [4, 0]])
@@ -324,11 +329,15 @@ class TestTermMemo:
                 allocation_welfare(profile, Allocation((0, 0)), f)
         assert all(total < 1000 for total in _terms(f, 1))
 
-    def test_the_number_of_memos_kept_is_bounded(self):
-        profile = Profile([[1, 2], [2, 1]])
-        for a in range(1, 3 * welfarist._MEMO_COUNT):
-            maximize_welfare(profile, Affine(a, 0))
-            assert len(welfarist._memos) <= welfarist._MEMO_COUNT
+    def test_the_number_of_memos_kept_is_bounded(self):  # one per function, at the scale it last ranked at
+        f = Power(Fraction(1, 2))
+        for scale in (1, 2, 3, 1):
+            profile, twin = Profile([[Fraction(1, scale), 2], [2, 1]]), copy.copy(f)  # equal, but no memo
+            assert maximize_welfare(profile, f) == maximize_welfare(profile, twin)
+            memos = [value for value in vars(f).values() if isinstance(value, _Terms)]
+            assert len(memos) == 1 and memos[0].scale == scale and memos[0].f is f
+            assert vars(twin)["_terms"] is not memos[0]
+        assert "_terms" not in vars(pickle.loads(pickle.dumps(f)))
 
     def test_an_unhashable_welfare_function_still_solves(self):
         @dataclass
@@ -364,7 +373,7 @@ SQRT_2_POW_53 = [[0] * 9, [0] * 7 + [1, 2**53]]  # sqrt(2**53 + 1) rounds to sqr
 
 BLOCK_FUNCTIONS = (
     LogAffine(), Affine(1, 0), Power(0.5), Power(2), Exp(),
-    CustomExpression.from_text("ln(x+1)"), CustomExpression.from_text("ln(x)"),
+    *map(CustomExpression.from_text, ("ln(x+1)", "ln(x)", "x*x+x", "x-ln(x+1)")),  # the last two: not proved rising
 )
 
 
@@ -431,6 +440,39 @@ class TestBlocks:
         for size in block_sizes(profile):
             with mock.patch.object(model, "_BLOCK", size):
                 assert outcome(lambda: block_welfare(profile, f)) == expected
+
+    @given(block_profiles(), st.booleans())
+    @example(Profile([[]]), True)
+    @example(Profile([[1, 4, 1, 3, 3, 4, 1, 2, 3, 4], [1, 4, 2, 3, 3, 1, 0, 2, 4, 2]]), True)
+    @settings(max_examples=100, deadline=None)
+    def test_the_ranking_walk_hands_over_each_allocation_once_in_groups_of_equal_totals(self, profile, frontier):
+        rows, _ = _scaled_rows(profile, budget=10**7)
+
+        def totals_of(assignment):
+            totals = [0] * profile.n
+            for good, agent in enumerate(assignment):
+                totals[agent] += rows[agent][good]
+            return tuple(totals)
+
+        every = list(product(range(profile.n), repeat=profile.m))
+        optimal = []  # the allocations' totals that no other's weakly exceed, by a sweep in descending sum
+        for vector in sorted(set(map(totals_of, every)), key=sum, reverse=True):
+            if not any(all(map(operator.ge, kept, vector)) for kept in optimal):
+                optimal.append(vector)
+        optimal = set(optimal)
+        for size in sorted({1, 2, profile.n, 16, 64, 256}):
+            with mock.patch.object(model, "_BLOCK", size):
+                suffixes, _, _, groups = model._groups(rows, frontier)
+            groups = list(groups)
+            assert [group[0] for group, _ in groups] == sorted(group[0] for group, _ in groups)
+            for group, totals in groups:
+                assert group == sorted(group) and {totals_of(prefix) for prefix in group} == {totals}
+            walked = [p + q for group, _ in groups for qs in suffixes for p in group for q in qs]
+            assert len(walked) == len(set(walked))
+            if frontier:  # every Pareto-optimal allocation, and perhaps others
+                assert {a for a in every if totals_of(a) in optimal} <= set(walked)
+            else:
+                assert sorted(walked) == every
 
     @given(block_profiles(), st.randoms(use_true_random=False))
     @example(Profile([[]]), random.Random(0))
@@ -518,13 +560,14 @@ class TestOneNashPath:
 
     def test_the_frontier_is_skipped_where_most_block_entries_are_maxima(self):
         def walk(profile):
-            suffixes, _, _, prefixes = model._blocks(_scaled_rows(profile, budget=10**7)[0], frontier=True)
+            suffixes, _, _, prefixes = model._groups(_scaled_rows(profile, budget=10**7)[0], frontier=True)
             return [group for group, _ in prefixes], suffixes
 
         groups, suffixes = walk(LATER_PAIR)  # 8 prefixes: 6 prefix totals and 12 of the 256 entries' are kept
-        assert len(groups) == 6 and all(isinstance(group, tuple) for group in groups) and len(suffixes) == 12
+        assert len(groups) == 6 and len(suffixes) == 12
         groups, suffixes = walk(PROPORTIONAL)  # every allocation is Pareto optimal
-        assert len(groups) == 8 and suffixes == model._suffix_table(2, 8)[0]
+        assert groups == [[prefix] for prefix in product((0, 1), repeat=3)]
+        assert suffixes == tuple((suffix,) for suffix in model._suffix_table(2, 8)[0])
 
     def test_identical_rows_count_every_even_split(self):
         result, members = welfare_maximizers(Profile([[1] * 9] * 2), LogAffine())

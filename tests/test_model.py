@@ -219,6 +219,12 @@ class TestSerialization:
         with pytest.raises(AllocationFormatError):
             loads_allocation('{"assignment": [0, null]}')
 
+    @pytest.mark.parametrize("entry, shown", [("true", "True"), ("-1", "-1"), ('"0"', "'0'")])
+    def test_allocation_bad_agent_message(self, entry, shown):
+        with pytest.raises(AllocationFormatError) as excinfo:
+            loads_allocation(f'{{"assignment": [0, {entry}]}}')
+        assert str(excinfo.value) == f"good 1 assigned to invalid agent {shown}"
+
     def test_allocation_not_object(self):
         with pytest.raises(AllocationFormatError):
             loads_allocation("[0, 1]")
