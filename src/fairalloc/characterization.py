@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .fairness import Ef1Verdict, is_ef1
 from .funcparse import _DIGITS, _positive_grid, enclose_expression
-from .model import DEFAULT_ENUMERATION_BUDGET, Profile
+from .model import DEFAULT_ENUMERATION_BUDGET, Profile, _rational
 from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
 
 logger = logging.getLogger(__name__)
@@ -133,7 +133,7 @@ def counterexample_profile(k: int, y, z, discount) -> Profile:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    y, z, discount = Fraction(y), Fraction(z), Fraction(discount)
+    y, z, discount = _rational(y, "y"), _rational(z, "z"), _rational(discount, "discount")
     if y <= 0 or z <= 0:
         raise ValueError("y and z must be positive")
     if not 0 < discount < z:
@@ -215,8 +215,7 @@ def _choose_discount(sign, k, y, z, override, max_halvings=60):
         return sign(((k + 1) * y, k * y), ((k + 1) * z - eps, k * z - eps)) > 0
 
     if override is not None:
-        eps = Fraction(override)
-        return eps if 0 < eps < z and gap_holds(eps) else None
+        return override if 0 < override < z and gap_holds(override) else None
     eps = z / 2
     for _ in range(max_halvings):
         if gap_holds(eps):
@@ -301,6 +300,7 @@ def find_ef1_counterexample(
     points = _positive_grid(DEFAULT_SEARCH_GRID if grid is None else grid)
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
+    epsilon = None if epsilon is None else _rational(epsilon, "epsilon")
     rejected = Counter()
     candidates = _candidates(_sign_test(f), points, k_max, epsilon, rejected)
     report = next(filter(None, (_verify_candidate(f, *c, budget, rejected) for c in candidates)), None)

@@ -47,6 +47,7 @@ from .model import (
     dumps_profile,
     loads_allocation,
     loads_profile,
+    _rational,
 )
 from .welfarist import (
     ExtendedWelfare,
@@ -62,11 +63,9 @@ class RationalParam(click.ParamType):
     name = "rational"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
         try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
+            return _rational(value, "rational")
+        except ValueError:
             self.fail(f"{value!r} is not an integer, decimal, or p/q rational", param, ctx)
 
 
@@ -369,9 +368,11 @@ def counterexample(
 @click.option("--k-max", type=int, default=5, show_default=True)
 @click.option(
     "--grid",
-    "grid_text",
     default=",".join(str(g) for g in DEFAULT_CONSTANCY_GRID),
     show_default=True,
+    callback=lambda ctx, param, text: [
+        RATIONAL.convert(piece, param, ctx) for piece in text.split(",") if piece.strip()
+    ],
     help="Comma-separated positive rationals, taken exactly.",
 )
 @click.option(
@@ -383,7 +384,7 @@ def counterexample(
 )
 @format_option
 @mapped_errors
-def lemma_check(spec, k_min, k_max, grid_text, fit_k_max, fmt):
+def lemma_check(spec, k_min, k_max, grid, fit_k_max, fmt):
     """Test whether --f behaves log-affinely.
 
     Decides for each k, by the counterexample search's certified comparison,
@@ -394,7 +395,6 @@ def lemma_check(spec, k_min, k_max, grid_text, fit_k_max, fmt):
     f = welfare_function_from_spec(spec)
     if k_min < 1 or k_max < k_min:
         raise ValueError("need 1 <= k-min <= k-max")
-    grid = [RATIONAL.convert(piece, None, None) for piece in grid_text.split(",") if piece.strip()]
     reports = [constancy_check(f, k, grid) for k in range(k_min, k_max + 1)]
     outcome = fit_log(f, k_max=fit_k_max, grid=grid)
 

@@ -17,6 +17,17 @@ CSV_COLUMNS = ("index", "function", "ef1", "ef", "po", "welfare")
 KNOWN_CHECKS = ("ef1", "ef", "po")
 
 
+def _check_shape(agents, goods, max_utility, min_utility, require_positive_row):
+    if agents < 1 or goods < 0:
+        raise ValueError("need at least one agent and a nonnegative good count")
+    if min_utility < 0 or max_utility < min_utility:
+        raise ValueError(
+            f"bad utility range [{min_utility}, {max_utility}]"
+        )
+    if require_positive_row and (goods == 0 or max_utility == 0):
+        raise ValueError("no positive row is possible with these parameters")
+
+
 def random_profile(
     rng: random.Random,
     agents: int,
@@ -30,14 +41,7 @@ def random_profile(
     With ``require_positive_row``, any all-zero row is resampled so every
     agent can be given positive utility.
     """
-    if agents < 1 or goods < 0:
-        raise ValueError("need at least one agent and a nonnegative good count")
-    if min_utility < 0 or max_utility < min_utility:
-        raise ValueError(
-            f"bad utility range [{min_utility}, {max_utility}]"
-        )
-    if require_positive_row and (goods == 0 or max_utility == 0):
-        raise ValueError("no positive row is possible with these parameters")
+    _check_shape(agents, goods, max_utility, min_utility, require_positive_row)
     rows = []
     for _ in range(agents):
         while True:
@@ -67,6 +71,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
+        _check_shape(self.agents, self.goods, self.max_utility, self.min_utility, self.require_positive_rows)
         if not self.functions:
             raise ValueError("at least one welfare function is required")
 

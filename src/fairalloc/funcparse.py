@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, InvalidWelfareFunctionError
+from .model import _rational
 
 
 @dataclass(frozen=True)
@@ -487,9 +488,9 @@ class MonotonicityReport:
     failure: tuple[float, float] | None = None
 
 
-def _positive_grid(grid, number=Fraction):
-    """``grid`` as a tuple of ``number``s, refused unless non-empty and positive."""
-    points = tuple(map(number, grid))
+def _positive_grid(grid):
+    """``grid``'s points, read as rationals into a tuple, refused unless non-empty and positive."""
+    points = tuple(_rational(point, "grid point") for point in grid)
     if not points:
         raise ValueError("the grid must not be empty")
     if any(p <= 0 for p in points):
@@ -512,7 +513,7 @@ def check_increasing(expr: Expression, grid) -> MonotonicityReport:
     do not order (a large constant may absorb the change) fails only if
     enclosures cannot order it either, at 80 digits.  Float evaluation errors propagate.
     """
-    points = _positive_grid(grid, float)
+    points = tuple(map(float, _positive_grid(grid)))
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("the grid must be strictly ascending")
     previous = evaluate_expression(expr, points[0])

@@ -4,7 +4,8 @@ Utilities are exact rationals (`fractions.Fraction`), read by every exact
 path as integers on one common scale that the profile computes once.  Fairness
 checks and the Nash-product solver compare exact integer totals, so strict
 inequalities cannot be flipped by rounding; floats enter only when a welfare
-function is applied.
+function is applied.  Every rational from outside, a utility, a welfare
+parameter, a grid point or a CLI option, is read once, by :func:`_rational`.
 
 Every exhaustive scan in the package runs on one private kernel here: the
 assignments of a prefix of the goods are walked in lexicographic order with
@@ -21,8 +22,10 @@ band may hold a dominated allocation, walks every group.
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
@@ -44,17 +47,29 @@ _BLOCK = 256
 _COLUMN_CAP = 64
 
 
+def _rational(value, what):
+    """``value``, an int, ``Fraction``, finite float or ``Decimal``, or a string such as ``"1/2"`` or ``"1e400"``,
+    as an exact ``Fraction``.  Anything else, a bool included, raises ``ValueError`` naming ``what``, as does a
+    decimal exponent past the interpreter's integer-digit limit, whose power of ten would take too long to build."""
+    if type(value) is Fraction:  # immutable, and already exact
+        return value
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
+        if isinstance(value, (str, Decimal)):
+            _, e, exponent = str(value).lower().partition("e")
+            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            if e and limit and abs(int(exponent)) > limit:  # limit 0: none set, or Python before 3.10.7
+                raise ValueError(f"decimal exponent beyond {limit}")
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise ValueError(f"unreadable {what}: {value!r}") from exc
+
+
 def _to_utility(value, agent, good):
     if type(value) is int and value >= 0:
         return Fraction(value)
-    if isinstance(value, bool):
-        raise ValueError(f"bad utility for agent {agent}, good {good}: {value!r}")
-    try:
-        utility = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(
-            f"bad utility for agent {agent}, good {good}: {value!r}"
-        ) from exc
+    utility = _rational(value, f"utility for agent {agent}, good {good}")
     if utility < 0:
         raise ValueError(
             f"negative utility for agent {agent}, good {good}: {value!r}"
@@ -66,10 +81,10 @@ def _to_utility(value, agent, good):
 class Profile:
     """An allocation instance: one row of per-good utilities per agent.
 
-    ``utilities[i][j]`` is agent ``i``'s value for good ``j``.  Rows may be
-    given as any iterable of ints, ``Fraction``s, or strings such as
-    ``"1/2"``; they are normalized to tuples of nonnegative ``Fraction``s.
-    Bundle values are additive over goods.
+    ``utilities[i][j]`` is agent ``i``'s value for good ``j``.  Rows may be any
+    iterables of what :func:`_rational` reads; they are normalized to tuples of
+    nonnegative ``Fraction``s, a bad entry raising ``ValueError`` naming its
+    agent and good.  Bundle values are additive over goods.
     """
 
     utilities: tuple[tuple[Fraction, ...], ...]
@@ -351,38 +366,6 @@ def _memo(build, rows, suffixes):
 # ---------------------------------------------------------------------------
 
 
-def _entry_to_fraction(value, agent, good):
-    if isinstance(value, bool):
-        raise ProfileFormatError(
-            f"utility for agent {agent}, good {good} must be an integer "
-            f"or a \"p/q\" string, got {value!r}"
-        )
-    if isinstance(value, int):
-        parsed = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            parsed = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProfileFormatError(
-                f"unreadable utility for agent {agent}, good {good}: {value!r}"
-            ) from exc
-    elif isinstance(value, float):
-        raise ProfileFormatError(
-            f"utility for agent {agent}, good {good} is a float ({value!r}); "
-            f"write non-integers as \"p/q\" strings to keep them exact"
-        )
-    else:
-        raise ProfileFormatError(
-            f"utility for agent {agent}, good {good} has unsupported type "
-            f"{type(value).__name__}"
-        )
-    if parsed < 0:
-        raise ProfileFormatError(
-            f"negative utility for agent {agent}, good {good}: {value!r}"
-        )
-    return parsed
-
-
 def loads_profile(text: str) -> Profile:
     """Parse profile JSON text, preserving rationals exactly."""
     try:
@@ -407,7 +390,6 @@ def loads_profile(text: str) -> Profile:
         raise ProfileFormatError(
             f"\"agents\" is {agents} but \"utilities\" has {len(matrix)} rows"
         )
-    rows = []
     for i, row in enumerate(matrix):
         if not isinstance(row, list):
             raise ProfileFormatError(f"utilities row for agent {i} must be a list")
@@ -415,8 +397,20 @@ def loads_profile(text: str) -> Profile:
             raise ProfileFormatError(
                 f"\"goods\" is {goods} but agent {i} has {len(row)} utilities"
             )
-        rows.append(tuple(_entry_to_fraction(value, i, j) for j, value in enumerate(row)))
-    return Profile(tuple(rows))
+        for j, value in enumerate(row):
+            if type(value) is not int and type(value) is not str:  # JSON's floats, bools, nulls, lists, objects
+                where = f"utility for agent {i}, good {j}"
+                if isinstance(value, bool):
+                    raise ProfileFormatError(f'{where} must be an integer or a "p/q" string, got {value!r}')
+                if isinstance(value, float):
+                    raise ProfileFormatError(
+                        f'{where} is a float ({value!r}); write non-integers as "p/q" strings to keep them exact'
+                    )
+                raise ProfileFormatError(f"{where} has unsupported type {type(value).__name__}")
+    try:
+        return Profile(matrix)
+    except ValueError as exc:
+        raise ProfileFormatError(str(exc)) from exc
 
 
 def _fraction_entry(value: Fraction):

@@ -9,7 +9,8 @@ recognises as ``a*x + c`` (utilitarian welfare) in closed form, by giving each g
 to an agent who values it most, so their argmax and tie count are immune to
 rounding; any other ``f`` by float sums within a tie band, whose Pareto-optimal members
 alone count if :func:`~fairalloc.funcparse.increasing` proves ``f`` rising.  Every
-solver breaks ties by the lexicographically smallest assignment vector.
+solver breaks ties by the lexicographically smallest assignment vector.  Each class
+reads its own parameters, numbers or a spec's strings, as exact rationals.
 
 Both rankings that are not closed form share one scan over the kernel of
 :mod:`fairalloc.model`, which groups the prefixes of the goods by their totals
@@ -50,6 +51,7 @@ from .model import (
     Profile,
     _groups,
     _memo,
+    _rational,
     _scaled_rows,
     _totals,
 )
@@ -78,9 +80,12 @@ def _sized(x) -> str:
 
 
 def _exact(f, what):
-    """Store ``f``'s parameters as ``Fraction``s that a float can hold; the first, ``what``, is positive."""
+    """Store ``f``'s parameters, read as ``Fraction``s that a float can hold; the first, ``what``, is positive."""
     for field in fields(f):
-        value = Fraction(getattr(f, field.name))
+        try:
+            value = _rational(getattr(f, field.name), f"parameter {field.name}")
+        except ValueError as exc:
+            raise InvalidWelfareFunctionError(str(exc)) from exc
         if value and not math.ulp(0.0) <= abs(value) <= sys.float_info.max:
             raise InvalidWelfareFunctionError(f"parameter {field.name} is beyond float range")
         object.__setattr__(f, field.name, value)
@@ -233,7 +238,8 @@ def welfare_function_from_spec(spec: str) -> WelfareFunction:
 
     Accepted forms: ``log``, ``log:a,b``, ``affine:a,b`` (or bare
     ``affine``), ``power:p``, ``exp``, ``expr:<expression in x>``.  Numeric
-    parameters may be integers, decimals, or ``p/q`` rationals.
+    parameters may be integers, decimals, or ``p/q`` rationals, read by the
+    function's class; an error names the spec.
     """
     name, sep, args = spec.partition(":")
     name = name.strip().lower()
@@ -243,39 +249,16 @@ def welfare_function_from_spec(spec: str) -> WelfareFunction:
                 "expr needs a body, e.g. expr:3*ln(x)+2"
             )
         return CustomExpression.from_text(args)
-    if name in ("log", "affine"):
-        a, b = _parse_params(spec, args, count=2, defaults=(1, 0))
-        return LogAffine(a, b) if name == "log" else Affine(a, b)
-    if name == "power":
-        if not args.strip():
-            raise InvalidWelfareFunctionError("power needs an exponent, e.g. power:2")
-        (p,) = _parse_params(spec, args, count=1, defaults=())
-        return Power(p)
-    if name == "exp":
-        if args.strip():
-            raise InvalidWelfareFunctionError("exp takes no parameters")
-        return Exp()
-    raise InvalidWelfareFunctionError(f"unknown welfare function spec {spec!r}")
-
-
-def _parse_params(spec, args, count, defaults):
-    text = args.strip()
-    if not text:
-        return defaults
-    pieces = [piece.strip() for piece in text.split(",")]
-    if len(pieces) != count:
-        raise InvalidWelfareFunctionError(
-            f"{spec!r} should have {count} comma-separated parameters"
-        )
-    values = []
-    for piece in pieces:
-        try:
-            values.append(Fraction(piece))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidWelfareFunctionError(
-                f"bad numeric parameter {piece!r} in {spec!r}"
-            ) from exc
-    return tuple(values)
+    kind = {"log": LogAffine, "affine": Affine, "power": Power, "exp": Exp}.get(name)
+    if kind is None:
+        raise InvalidWelfareFunctionError(f"unknown welfare function spec {spec!r}")
+    pieces = [piece.strip() for piece in args.split(",")] if args.strip() else []
+    if len(pieces) != len(fields(kind)) and (pieces or kind is Power):  # log and affine default to a = 1, b = 0
+        raise InvalidWelfareFunctionError(f"{spec!r} should have {len(fields(kind))} comma-separated parameters")
+    try:
+        return kind(*pieces)
+    except InvalidWelfareFunctionError as exc:
+        raise InvalidWelfareFunctionError(f"{exc} in {spec!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,16 @@ class TestExperiment:
         result = runner.invoke(main, ["experiment", "--count", "1", "--checks", "efx"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--agents", "0"], "at least one agent"),
+        (["--min-utility", "5", "--max-utility", "2"], "bad utility range [5, 2]"),
+    ])
+    def test_bad_shape_exits_2_even_for_zero_count(self, runner, flags, message):
+        result = runner.invoke(main, ["experiment", "--count", "0", *flags])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert message in result.stderr
+
 
 class TestJsonSchema:
     """The full JSON reports: keys are the result dataclasses' field names,

@@ -102,6 +102,16 @@ class TestRunExperiment:
         text = experiment_csv(run_experiment(self.base_config(count=0)))
         assert text == "index,function,ef1,ef,po,welfare\n"
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(agents=0), "at least one agent"),
+        (dict(goods=-1), "nonnegative good count"),
+        (dict(min_utility=5, max_utility=2), r"bad utility range \[5, 2\]"),
+        (dict(max_utility=0, min_utility=0, require_positive_rows=True), "no positive row"),
+    ])
+    def test_shape_checked_at_construction_even_for_zero_count(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            self.base_config(count=0, **overrides)
+
 
 class TestWelfareFormatting:
     def test_finite(self):
