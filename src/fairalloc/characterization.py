@@ -10,9 +10,10 @@ log-affine parameter fit built on it, and the instance construction with an
 exhaustive verification of the failure.
 
 The constancy test, the fit and the search judge ``d_k`` by one certified sign
-test: exact in integers for a tree recognised as ``a*ln(x) + c``, else from
-rational enclosures of ``f``, where a tie means equal to 80 digits.  So every
-comparison ties for log-affine ``f``, and float samples are only shown.
+test, from rational enclosures of ``f`` where a tie means equal to 80 digits.
+A tree recognised as ``a*ln(x) + c`` needs none: its ``d_k`` is the same at
+every point, so it ties every comparison and the search compares nothing.
+Float samples are only shown.
 """
 
 import logging
@@ -24,7 +25,7 @@ from functools import cache
 from itertools import combinations
 
 from .fairness import Ef1Verdict, is_ef1
-from .funcparse import _DIGITS, _positive_grid, enclose_expression
+from .funcparse import _DIGITS, _positive_grid, _signs, enclose_expression
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile, _rational
 from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
 
@@ -59,25 +60,25 @@ class ConstancyReport:
 
 
 def _ties(sign, k, points):
-    """Whether ``sign`` ties ``d_k`` at every point with ``d_k`` at the first."""
-    if sign is _log_sign:  # (k+1)x * ky == kx * (k+1)y: every pair ties
-        return True
+    """Whether ``sign`` ties ``d_k`` at every point with ``d_k`` at the first (always for ``None``)."""
     first = ((k + 1) * points[0], k * points[0])
-    return all(sign(first, ((k + 1) * x, k * x)) == 0 for x in points[1:])
+    return sign is None or all(sign(first, ((k + 1) * x, k * x)) == 0 for x in points[1:])
 
 
-def _report(f, k, points, sign):
-    """The float samples of ``d_k`` with the verdict of ``sign`` (``None``: not constant)."""
+def _report(f, k, points, constant):
+    """The float samples of ``d_k`` with the verdict ``constant``."""
     samples = tuple((float(x), scaled_difference(f, k, x)) for x in points)
     values = [d for _, d in samples]
-    constant = sign is not None and _ties(sign, k, points)
     level = sum(values) / len(values) if constant else None
     return ConstancyReport(k, samples, max(values) - min(values), constant, level)
 
 
 def constancy_check(f: WelfareFunction, k: int, grid) -> ConstancyReport:
     """Decide whether ``d_k`` is constant on a positive grid, taken exactly."""
-    return _report(f, k, _positive_grid(grid), _sign_test(f))
+    points, sign = _positive_grid(grid), _sign_test(f)
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return _report(f, k, points, _ties(sign, k, points))
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,11 @@ def fit_log(f: WelfareFunction, *, k_max: int = 50, grid=DEFAULT_CONSTANCY_GRID)
     sign = _sign_test(f)
     failed = next((k for k in range(1, k_max + 1) if not _ties(sign, k, points)), None)
     if failed is not None:
-        return LogFitResult(None, _report(f, failed, points, None))
+        return LogFitResult(None, _report(f, failed, points, False))
     (lo2, hi2), (lo1, hi1) = (enclose_expression(f.ast(), x, _DIGITS[-1]) for x in (2 * points[0], points[0]))
     a = float((lo2 + hi2 - lo1 - hi1) / 2) / math.log(2)
     if not a > 0:
-        return LogFitResult(None, _report(f, k_max, points, sign))
+        return LogFitResult(None, _report(f, k_max, points, True))
     b = f.value(1)
     residual = max(abs(f.value(x) - (a * math.log(x) + b)) for x in points)
     return LogFitResult(LogFit(a, b, residual), None)
@@ -169,47 +170,14 @@ class CounterexampleReport:
     all_maximizers_violate: bool
 
 
-def _log_sign(first, second):
-    """The sign of ``a*ln(p*s / (q*r))`` for ``first = (p, q)``, ``second = (r, s)``,
-    positive rationals, and ``a > 0``: ``p*s`` against ``q*r``, cleared of denominators."""
-    (p, q), (r, s) = first, second
-    left = p.numerator * s.numerator * q.denominator * r.denominator
-    right = q.numerator * r.numerator * p.denominator * s.denominator
-    return (left > right) - (left < right)
-
-
 def _sign_test(f):
-    """``sign(first, second)``: the sign of ``(f(a) - f(b)) - (f(c) - f(d))`` for
-    ``first = (a, b)`` and ``second = (c, d)``, positive rationals: :func:`_log_sign` for
-    a tree recognised as ``a*ln(x) + c``, else from enclosures of ``f`` refined over
-    :data:`_DIGITS`, or 0 ("tied") when they still overlap at the last rung.
-    Enclosures are memoized per (point, rung) for one search."""
-    expression = f.ast()
-    if f._form is not None and f._form[0] == "ln":
-        return _log_sign
-    at = cache(lambda x, digits: enclose_expression(expression, x, digits))
-
-    @cache
-    def difference(pair, digits):
-        (a_lo, a_hi), (b_lo, b_hi) = at(pair[0], digits), at(pair[1], digits)
-        return a_lo - b_hi, a_hi - b_lo
-
-    def sign(first, second):
-        for digits in _DIGITS:
-            lo, hi = difference(first, digits)
-            other_lo, other_hi = difference(second, digits)
-            if lo > other_hi:
-                return 1
-            if hi < other_lo:
-                return -1
-            if lo == hi == other_lo == other_hi:  # exactly equal: no rung splits them
-                return 0
-        return 0
-
-    return sign
+    """``None`` for a tree that :func:`~fairalloc.funcparse.linear_form` recognises as ``a*ln(x) + c``,
+    whose ``d_k`` is the same at every point, so every comparison of it ties; else the certified
+    sign of :func:`~fairalloc.funcparse._signs` on ``f``'s tree, memoized for one search."""
+    return None if f._form is not None and f._form[0] == "ln" else _signs(f.ast())
 
 
-def _choose_discount(sign, k, y, z, override, max_halvings=60):
+def _choose_discount(sign, k, y, z, override):
     # continuity guarantees a small enough discount works; halve from z/2
     def gap_holds(eps):  # f((k+1)y) - f(ky) > f((k+1)z - eps) - f(kz - eps)
         return sign(((k + 1) * y, k * y), ((k + 1) * z - eps, k * z - eps)) > 0
@@ -217,7 +185,7 @@ def _choose_discount(sign, k, y, z, override, max_halvings=60):
     if override is not None:
         return override if 0 < override < z and gap_holds(override) else None
     eps = z / 2
-    for _ in range(max_halvings):
+    for _ in range(60):
         if gap_holds(eps):
             return eps
         eps /= 2
@@ -290,19 +258,20 @@ def find_ef1_counterexample(
     builds the exact-rational profile, and certifies the result by exhaustive
     enumeration: the report is returned only if every allocation within the
     welfare tie band fails the one-good-removal check.  Both comparisons are
-    certified signs of ``f.ast()``, exact if it is recognised as log-affine, and
-    pairs they cannot tell apart are skipped, so log-affine ``f`` builds no candidate.
-    Each search logs one INFO summary counting the pairs and candidates it
-    rejected, by reason (tied pairs are not counted), and each rejected
-    candidate at DEBUG.  Returns the
-    first verified report in scan order, or ``None``.
+    certified signs of ``f.ast()``, and pairs they cannot tell apart are skipped.
+    A tree recognised as log-affine ties every pair, so it compares none and
+    builds no candidate.  Each search logs one INFO summary counting the pairs
+    and candidates it rejected, by reason (tied pairs are not counted), and
+    each rejected candidate at DEBUG.  Returns the first verified report in
+    scan order, or ``None``.
     """
     points = _positive_grid(DEFAULT_SEARCH_GRID if grid is None else grid)
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
     epsilon = None if epsilon is None else _rational(epsilon, "epsilon")
     rejected = Counter()
-    candidates = _candidates(_sign_test(f), points, k_max, epsilon, rejected)
+    sign = _sign_test(f)
+    candidates = () if sign is None else _candidates(sign, points, k_max, epsilon, rejected)
     report = next(filter(None, (_verify_candidate(f, *c, budget, rejected) for c in candidates)), None)
     logger.info("search for %s to k=%d: found k=%s; rejected %s", f, k_max, report and report.k, dict(rejected))
     return report

@@ -186,7 +186,7 @@ budget_option = click.option(
     type=int,
     default=DEFAULT_ENUMERATION_BUDGET,
     show_default=True,
-    help="Abort (exit 3) if a scan needs more allocations than this.",
+    help="Most allocations a scan may need (else exit 3), or counterexample pair comparisons (else exit 2).",
 )
 format_option = click.option(
     "--format",
@@ -328,7 +328,14 @@ def counterexample(
     f = welfare_function_from_spec(spec)
     if grid_step <= 0 or grid_min <= 0 or grid_max < grid_min:
         raise ValueError("the grid needs 0 < min <= max and a positive step")
-    grid = [grid_min + i * grid_step for i in range(int((grid_max - grid_min) / grid_step) + 1)]
+    points = (grid_max - grid_min) // grid_step + 1
+    comparisons = k_max * points * (points - 1) // 2
+    if comparisons > budget:
+        raise ValueError(
+            f"--grid-step {grid_step} gives {points} points and {comparisons} "
+            f"pair comparisons, over the budget {budget}"
+        )
+    grid = [grid_min + i * grid_step for i in range(points)]
     report = find_ef1_counterexample(
         f, k_max=k_max, grid=grid, epsilon=epsilon, budget=budget
     )

@@ -21,7 +21,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Union
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, InvalidWelfareFunctionError
@@ -498,12 +498,30 @@ def _positive_grid(grid):
     return points
 
 
-def _rises(expr, a, b):
-    """Whether enclosures of ``expr`` at :data:`_DIGITS` prove ``expr(a) < expr(b)``."""
-    try:
-        return any(enclose_expression(expr, a, d)[1] < enclose_expression(expr, b, d)[0] for d in _DIGITS)
-    except ExpressionEvalError:
-        return False
+def _signs(expr):
+    """``sign(first, second=None)``: the certified sign of ``(f(a) - f(b)) - (f(c) - f(d))`` for ``first = (a, b)``,
+    ``second = (c, d)`` (or of ``f(a) - f(b)``) at positive rationals, ``f = expr``, from enclosures refined over
+    :data:`_DIGITS`, 0 when the last rung cannot split them; memoized per (point, rung) and (pair, rung)."""
+    at = cache(lambda x, digits: enclose_expression(expr, x, digits))
+
+    @cache
+    def difference(pair, digits):
+        (a_lo, a_hi), (b_lo, b_hi) = at(pair[0], digits), at(pair[1], digits)
+        return a_lo - b_hi, a_hi - b_lo
+
+    def sign(first, second=None):
+        for digits in _DIGITS:
+            lo, hi = difference(first, digits)
+            other_lo, other_hi = (0, 0) if second is None else difference(second, digits)
+            if lo > other_hi:
+                return 1
+            if hi < other_lo:
+                return -1
+            if lo == hi == other_lo == other_hi:  # exactly equal: no rung splits them
+                return 0
+        return 0
+
+    return sign
 
 
 def check_increasing(expr: Expression, grid) -> MonotonicityReport:
@@ -511,15 +529,20 @@ def check_increasing(expr: Expression, grid) -> MonotonicityReport:
 
     Adjacent points are compared in floats with no tolerance.  A pair the floats
     do not order (a large constant may absorb the change) fails only if
-    enclosures cannot order it either, at 80 digits.  Float evaluation errors propagate.
+    :func:`_signs` cannot order it either, at 80 digits.  Float evaluation errors propagate.
     """
     points = tuple(map(float, _positive_grid(grid)))
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("the grid must be strictly ascending")
+    sign = _signs(expr)
     previous = evaluate_expression(expr, points[0])
     for a, b in zip(points, points[1:]):
         current = evaluate_expression(expr, b)
-        if not previous < current and not _rises(expr, Fraction(a), Fraction(b)):
+        try:
+            rises = previous < current or sign((Fraction(a), Fraction(b))) < 0
+        except ExpressionEvalError:  # an enclosure that raises proves nothing
+            rises = False
+        if not rises:
             return MonotonicityReport(False, (a, b))
         previous = current
     return MonotonicityReport(True, None)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -231,6 +232,23 @@ class TestCounterexample:
             "ef1_holds", "all_maximizers_violate",
         ]
         assert payload["discount"] == "1/4"
+
+    def test_a_grid_past_the_budget_is_refused_before_it_is_built(self, runner):
+        # 4,500,000,001 points: building them would exhaust memory
+        start = time.perf_counter()
+        result = runner.invoke(main, ["counterexample", "--f", "power:2", "--grid-step", "1/1000000000"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert "--grid-step 1/1000000000 gives 4500000001 points" in result.stderr
+
+    def test_the_default_grid_is_within_the_budget(self, runner):
+        # 10 points, 45 pairs, 5 values of k: 225 comparisons
+        result = runner.invoke(main, ["counterexample", "--f", "power:2", "--budget", "225"])
+        assert result.exit_code == 0
+        assert "k=1, y=1, z=1/2, discount=1/4" in result.output
+        refused = runner.invoke(main, ["counterexample", "--f", "power:2", "--budget", "224"])
+        assert refused.exit_code == 2
+        assert "225 pair comparisons" in refused.stderr
 
     def test_bad_grid_exits_2(self, runner):
         result = runner.invoke(

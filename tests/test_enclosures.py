@@ -3,9 +3,9 @@
 ``enclose_expression`` must bound the true value at every precision of the
 search's ladder; rational-valued functions must come out exact, without a
 ``decimal`` call; trees that ``linear_form`` recognises must have the form it
-proves; and the sign test, exact for recognised log-affine trees and from
-enclosures otherwise, must call every ``d_k`` comparison of a log-affine
-function a tie.
+proves; and the sign test from enclosures must call every ``d_k`` comparison
+of a log-affine function a tie, while a recognised log-affine tree needs no
+comparison at all.
 """
 
 import operator
@@ -16,9 +16,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_funcparse import expression_trees
 
-from fairalloc import funcparse
-from fairalloc.characterization import DEFAULT_SEARCH_GRID, _DIGITS, _sign_test, find_ef1_counterexample
+from fairalloc import characterization, funcparse
+from fairalloc.characterization import DEFAULT_SEARCH_GRID, _DIGITS, _sign_test, _ties, find_ef1_counterexample
 from fairalloc.errors import ExpressionEvalError
 from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, enclose_expression, linear_form, parse_expression
 from fairalloc.model import Allocation
@@ -117,7 +118,15 @@ def ties_every_grid_pair(sign):
 
 @pytest.mark.parametrize("spec", LOG_AFFINE_SPECS)
 def test_sign_test_ties_every_log_affine_grid_pair(spec):
-    assert ties_every_grid_pair(_sign_test(welfare_function_from_spec(spec)))
+    sign = _sign_test(welfare_function_from_spec(spec))
+    assert sign is None
+    assert all(_ties(sign, k, DEFAULT_SEARCH_GRID) for k in range(1, 6))
+
+
+def test_a_recognised_log_affine_search_makes_no_comparison():
+    grid = [Fraction(50 + i, 100) for i in range(451)]
+    with mock.patch.object(characterization, "_signs", side_effect=AssertionError("a comparison was made")):
+        assert find_ef1_counterexample(welfare_function_from_spec("expr:3*ln(x)+2"), k_max=50, grid=grid) is None
 
 
 @pytest.mark.parametrize("spec", LOG_AFFINE_SPECS)
@@ -221,12 +230,42 @@ def point_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(pairs=point_pairs())
 def test_the_exact_sign_agrees_with_every_enclosure_that_decides(spec, pairs):
-    f = welfare_function_from_spec(spec)
-    exact = _sign_test(f)(*pairs)
+    # a*ln(p/q) - a*ln(r/s) = a*ln(p*s / (q*r)) with a > 0
     (p, q), (r, s) = pairs
-    assert exact == (p * s > q * r) - (p * s < q * r)
-    enclosed = _sign_test(unrecognised(f))(*pairs)
+    exact = (p * s > q * r) - (p * s < q * r)
+    enclosed = _sign_test(unrecognised(welfare_function_from_spec(spec)))(*pairs)
     assert enclosed in (0, exact)
+
+
+#: The benchmark's ``characterize`` functions that are not log-affine.
+NON_LOG_SPECS = ["affine:1,0", "power:2", "power:1/2", "expr:x^2+x", "expr:ln(x+1)"]
+
+
+def _mp_difference(tree, pair, mpmath):
+    a, b = (_mp_value(tree, mpmath.mpf(x.numerator) / x.denominator, mpmath) for x in pair)
+    return a - b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(expression_trees(), st.sampled_from(NON_LOG_SPECS).map(lambda spec: welfare_function_from_spec(spec).ast())),
+    point_pairs(),
+)
+def test_the_ladder_is_antisymmetric_and_agrees_with_mpmath_where_it_decides(tree, pairs):
+    mpmath = pytest.importorskip("mpmath")
+    sign = funcparse._signs(tree)
+    first, second = pairs
+    try:
+        decided, alone = sign(first, second), sign(first)
+    except ExpressionEvalError:  # an enclosure leaves the domain: no verdict to check
+        return
+    assert sign(second, first) == -decided
+    assert sign(first[::-1]) == -alone
+    with mpmath.workdps(100):
+        step = _mp_difference(tree, first, mpmath)
+        gap = step - _mp_difference(tree, second, mpmath)
+    assert decided in (0, (gap > 0) - (gap < 0))
+    assert alone in (0, (step > 0) - (step < 0))
 
 
 SEARCH_SPECS_AT_THE_PARENT = {

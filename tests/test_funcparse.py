@@ -384,7 +384,7 @@ class TestIncreasingProof:
         fails = [float_fails(tree, x) for x in (Fraction(1, 10**20), *RISING_GRID)]
         assert fails == sorted(fails)  # past the first failing point, every one fails: the floats overflow
         for a, b, failed in zip(RISING_GRID, RISING_GRID[1:], fails[2:]):
-            assert failed or funcparse._rises(tree, a, b)
+            assert failed or funcparse._signs(tree)((a, b)) < 0
 
 
 def float_fails(tree, x):
