@@ -48,8 +48,6 @@ from .fairness import (
 )
 from .funcparse import (
     Expression,
-    MonotonicityReport,
-    check_increasing,
     evaluate_expression,
     parse_expression,
 )
@@ -66,7 +64,6 @@ from .model import (
     loads_profile,
 )
 from .welfarist import (
-    TIE_TOLERANCE,
     Affine,
     CustomExpression,
     Exp,

@@ -9,8 +9,9 @@ one-good-removal envy check.  This module provides the constancy test, a
 log-affine parameter fit built on it, and the instance construction with an
 exhaustive verification of the failure.
 
-The constancy test, the fit and the search judge ``d_k`` by one certified sign
-test, from rational enclosures of ``f`` where a tie means equal to 80 digits.
+The constancy test, the fit and the search judge ``d_k`` by the certified sign
+of ``f``'s one :class:`~fairalloc.funcparse._Ladder`, whose enclosures the
+verification of a candidate shares; a tie means equal to the ladder's last rung.
 A tree recognised as ``a*ln(x) + c`` needs none: its ``d_k`` is the same at
 every point, so it ties every comparison and the search compares nothing.
 Float samples are only shown.
@@ -21,11 +22,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 from .fairness import Ef1Verdict, is_ef1
-from .funcparse import _DIGITS, _positive_grid, _signs, enclose_expression
+from .funcparse import _positive_grid
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile, _rational
 from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
 
@@ -61,8 +61,8 @@ class ConstancyReport:
 
 def _ties(sign, k, points):
     """Whether ``sign`` ties ``d_k`` at every point with ``d_k`` at the first (always for ``None``)."""
-    first = ((k + 1) * points[0], k * points[0])
-    return sign is None or all(sign(first, ((k + 1) * x, k * x)) == 0 for x in points[1:])
+    y = points[0]  # d_k(y) - d_k(x) = f((k+1)y) + f(kx) - f(ky) - f((k+1)x)
+    return sign is None or not any(sign(((k + 1) * y, k * x), (k * y, (k + 1) * x)) for x in points[1:])
 
 
 def _report(f, k, points, constant):
@@ -107,7 +107,8 @@ def fit_log(f: WelfareFunction, *, k_max: int = 50, grid=DEFAULT_CONSTANCY_GRID)
 
     One sign test decides every ``k`` as :func:`constancy_check` does; the first
     ``k`` that fails gets the returned report.  The slope is ``d_1`` at the first
-    grid point, from its 80-digit enclosure, over ``ln 2``, and the intercept is ``f(1)``.
+    grid point, from its enclosure at the ladder's last rung, over ``ln 2``, and the
+    intercept is ``f(1)``.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
@@ -116,7 +117,7 @@ def fit_log(f: WelfareFunction, *, k_max: int = 50, grid=DEFAULT_CONSTANCY_GRID)
     failed = next((k for k in range(1, k_max + 1) if not _ties(sign, k, points)), None)
     if failed is not None:
         return LogFitResult(None, _report(f, failed, points, False))
-    (lo2, hi2), (lo1, hi1) = (enclose_expression(f.ast(), x, _DIGITS[-1]) for x in (2 * points[0], points[0]))
+    (lo2, hi2), (lo1, hi1) = (f._ladder.enclose(x, f._ladder.rungs[-1]) for x in (2 * points[0], points[0]))
     a = float((lo2 + hi2 - lo1 - hi1) / 2) / math.log(2)
     if not a > 0:
         return LogFitResult(None, _report(f, k_max, points, True))
@@ -173,14 +174,14 @@ class CounterexampleReport:
 def _sign_test(f):
     """``None`` for a tree that :func:`~fairalloc.funcparse.linear_form` recognises as ``a*ln(x) + c``,
     whose ``d_k`` is the same at every point, so every comparison of it ties; else the certified
-    sign of :func:`~fairalloc.funcparse._signs` on ``f``'s tree, memoized for one search."""
-    return None if f._form is not None and f._form[0] == "ln" else _signs(f.ast())
+    sign of ``f``'s ladder, whose enclosures ``f`` keeps."""
+    return None if f._form is not None and f._form[0] == "ln" else f._ladder.sign
 
 
 def _choose_discount(sign, k, y, z, override):
     # continuity guarantees a small enough discount works; halve from z/2
     def gap_holds(eps):  # f((k+1)y) - f(ky) > f((k+1)z - eps) - f(kz - eps)
-        return sign(((k + 1) * y, k * y), ((k + 1) * z - eps, k * z - eps)) > 0
+        return sign(((k + 1) * y, k * z - eps), (k * y, (k + 1) * z - eps)) == 1
 
     if override is not None:
         return override if 0 < override < z and gap_holds(override) else None
@@ -195,12 +196,11 @@ def _choose_discount(sign, k, y, z, override):
 def _candidates(sign, points, k_max, epsilon, rejected):
     """``(k, y, z, discount)`` for each grid pair with a certified gap, in scan order."""
     for k in range(1, k_max + 1):
-        d_k = cache(lambda x, k=k: ((k + 1) * x, k * x))  # d_k(x) = f((k+1)x) - f(kx)
-        for first, second in combinations(points, 2):
-            order = sign(d_k(first), d_k(second))
-            if order == 0:
+        for first, second in combinations(points, 2):  # the sign of d_k(first) - d_k(second)
+            order = sign(((k + 1) * first, k * second), (k * first, (k + 1) * second))
+            if not order:
                 continue
-            y, z = (first, second) if order > 0 else (second, first)
+            y, z = (first, second) if order == 1 else (second, first)
             discount = _choose_discount(sign, k, y, z, epsilon)
             if discount is None:
                 rejected["pairs with no discount"] += 1
@@ -256,8 +256,8 @@ def find_ef1_counterexample(
     (roles swap when the difference points the other way), picks the discount
     by halving from ``z/2`` (or uses the ``epsilon`` override where it fits),
     builds the exact-rational profile, and certifies the result by exhaustive
-    enumeration: the report is returned only if every allocation within the
-    welfare tie band fails the one-good-removal check.  Both comparisons are
+    enumeration: the report is returned only if every welfare maximizer, in the
+    certified order, fails the one-good-removal check.  Both comparisons are
     certified signs of ``f.ast()``, and pairs they cannot tell apart are skipped.
     A tree recognised as log-affine ties every pair, so it compares none and
     builds no candidate.  Each search logs one INFO summary counting the pairs

@@ -42,4 +42,4 @@ class ExpressionEvalError(ExpressionError):
 
 
 class InvalidWelfareFunctionError(ValueError):
-    """A welfare function is malformed, not increasing, or produced NaN / +inf."""
+    """A welfare function is malformed, not proved increasing, or produced NaN / +inf."""

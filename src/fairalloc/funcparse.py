@@ -13,15 +13,20 @@ Grammar, loosest binding first::
 Literals are exact ``Fraction``s in the tree, which two evaluators read: the
 float function of :func:`compile_expression` (IEEE, ``ln(0) = -inf``; a NaN or
 ``+inf`` result is an error), and :func:`enclose_expression`, rational bounds.
+
+Two sound, incomplete proofs read a tree unevaluated: :func:`linear_form` and
+:func:`increasing`.  Every other verdict on its values, an order of two sums of
+them included, is a certified sign of one :class:`_Ladder` per function.
 """
 
 import decimal
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Union
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError, InvalidWelfareFunctionError
@@ -272,14 +277,14 @@ def evaluate_expression(expr: Expression, x) -> float:
 
 @lru_cache(maxsize=None)
 def _context(digits):
-    traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Underflow]
-    return decimal.Context(prec=digits, traps=traps)
+    return decimal.Context(prec=digits, traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
 
 
 def _increasing(name, interval, digits):
     """Bounds on the increasing ``ln``, ``exp`` or ``sqrt`` over ``interval``:
     ends rounded outward to ``digits`` digits, correctly rounded results moved
-    one unit in the last place outward (0 comes only exactly)."""
+    one unit in the last place outward, subnormal ones included (0 comes only
+    exactly, or as an ``exp`` below every decimal, whose upper end is the least)."""
     lo, hi = interval
     if name != "exp" and (lo < 0 or name == "ln" and lo == 0):
         raise ExpressionEvalError(f"{name} of a value in [{lo}, {hi}]")
@@ -298,7 +303,7 @@ def _increasing(name, interval, digits):
     except decimal.DecimalException as exc:
         raise ExpressionEvalError(f"{name} out of range ({exc!r})") from None
     return tuple(
-        Fraction(outward(result)) if result else Fraction(0)
+        Fraction(outward(result)) if result or name == "exp" and outward is outwards[1] else Fraction(0)
         for result, outward in zip(results, outwards)
     )
 
@@ -322,8 +327,10 @@ def _combine(op, left, right):
 
 #: Most bits an integer power's numerator or denominator may reach to be taken exactly.
 _POWER_BITS = 1 << 16
-#: Significant digits of the enclosures that decide a comparison, coarsest first.
+#: Significant digits of the enclosures that decide a comparison, coarsest first; the last is the least last rung.
 _DIGITS = (12, 80)
+#: Most ``(x, digits)`` enclosures that one :class:`_Ladder` keeps.
+_LADDER_CAP = 1 << 14
 
 
 def _small_power(interval, n):
@@ -335,6 +342,8 @@ def _power(base, exponent, digits):
     (lo, hi), (e_lo, e_hi) = base, exponent
     if e_lo == e_hi and e_lo.denominator == 2:  # x^(n/2) = sqrt(x^n)
         return _increasing("sqrt", _power(base, _point(2 * e_lo), digits), digits)
+    if lo == hi == 0 < e_lo:  # 0^p = 0 for p > 0, which exp(p ln 0) cannot give
+        return _point(lo)
     n = e_lo.numerator
     if e_lo != e_hi or e_lo.denominator != 1 or not _small_power(base, n):  # x^p = exp(p ln x), x > 0
         logarithm = _increasing("ln", base, digits)
@@ -389,7 +398,10 @@ def _linear(node):
     if isinstance(node, Neg):
         return _linear(BinOp("*", Num(Fraction(-1)), node.operand))
     if isinstance(node, Call):
-        a, g, c = _linear(node.operand) or (0, "unknown", 0)
+        inner = node.operand
+        if node.name == "ln" and isinstance(inner, Call) and inner.name != "ln":  # ln(exp(u)) = u, ln(sqrt(u)) = ln(u)/2
+            return _linear(inner.operand if inner.name == "exp" else BinOp("/", Call("ln", inner.operand), Num(Fraction(2))))
+        a, g, c = _linear(inner) or (0, "unknown", 0)
         if g is None:
             return Fraction(0), None, None
         if node.name == "ln" and isinstance(g, Fraction) and a > 0 and c == 0:  # ln(a x^p) = p ln(x) + ln(a)
@@ -412,6 +424,8 @@ def _linear(node):
         if g is not None and h is not None and (g != h or g == "ln" and a * b < 0):
             return None
         return a + b, (h if g is None else g) if a + b else None, None if c is None or d is None else c + d
+    if node.op == "*" and isinstance(g, Fraction) and isinstance(h, Fraction) and c == d == 0:  # a x^g * b x^h
+        return a * b, g + h, Fraction(0)
     if node.op == "*" and g is None:  # the constant factor goes right
         (a, g, c), (b, h, d) = right, left
     if node.op in "*/" and h is None and d:
@@ -450,12 +464,18 @@ def _rise(node, guarded=False):
     if not isinstance(node, BinOp):  # a number, or the falling Neg
         return None
     left, right = _rise(node.left, guarded or node.op == "^"), _rise(node.right, guarded)
-    if node.op == "+" and left is not None and right is not None:
-        return left + right
+    if left is not None and right is not None:  # two rising parts: their sum, or their product if both are >= 0
+        return left + right if node.op == "+" else left * right if node.op == "*" and min(left, right) >= 0 else None
     if node.op in "+*" and left is None:  # a constant goes right
         node, left = BinOp(node.op, node.right, node.left), right
     form = None if left is None else _linear(node.right)
     c = form[2] if form is not None and form[1] is None else None  # exact and free of x
+    if form is not None and form[1] is None and c is None and node.op in "*/":  # a factor free of x, but inexact
+        try:
+            lo, hi = enclose_expression(node.right, 0, _DIGITS[0])
+        except ExpressionEvalError:
+            return None
+        c = None if lo <= 0 else lo if (left >= 0) == (node.op == "*") else hi  # the end that bounds the part below
     if c is None or node.op in "*/^" and c <= 0 or node.op == "^" and left < 0:
         return None
     if guarded and (node.op == "-" or c < 0):  # rounding might cancel to 0 or below
@@ -465,27 +485,16 @@ def _rise(node, guarded=False):
 
 def increasing(expr: Expression) -> bool:
     """Whether rules prove ``expr`` strictly increasing on ``x >= 0`` and finite for ``x > 0`` (sound, not complete).
-    A part rises if it is ``x``; a sum of rising parts and exact constants, one rising; a rising part minus a constant,
-    or times or over a positive one; ``exp`` of a rising part; or, of a rising part at least 0 at ``x = 0``, its
-    ``sqrt``, its ``ln`` or its power to a positive constant, if no constant is taken away inside it.  Each rounds
+    A part rises if it is ``x``; a sum of rising parts and exact constants, one rising; a product of two rising parts
+    at least 0 at ``x = 0``; a rising part minus an exact constant, or times or over a positive one (exact, or free of
+    ``x`` with a positive first-rung enclosure); ``exp`` of a rising part; or, of a rising part at least 0 at ``x = 0``,
+    its ``sqrt``, its ``ln`` or its power to a positive constant, if no constant is taken away inside it.  Each rounds
     monotonically and nothing cancels under ``ln``, ``sqrt`` or ``^``, so the floats fail only upwards, by overflow,
     short of an argument of ``ln`` that underflows to 0 (``ln(x^3)+x`` at ``x = 10^-110``, say)."""
     try:
         return _rise(expr) is not None
     except RecursionError:  # deeper than the walk can go: not proved
         return False
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Outcome of a strict-increase check along a grid.
-
-    ``failure`` is the first adjacent pair ``(x1, x2)`` with ``f(x1) >= f(x2)``
-    at 80 digits, present iff ``increasing`` is false.
-    """
-
-    increasing: bool
-    failure: tuple[float, float] | None = None
 
 
 def _positive_grid(grid):
@@ -498,51 +507,39 @@ def _positive_grid(grid):
     return points
 
 
-def _signs(expr):
-    """``sign(first, second=None)``: the certified sign of ``(f(a) - f(b)) - (f(c) - f(d))`` for ``first = (a, b)``,
-    ``second = (c, d)`` (or of ``f(a) - f(b)``) at positive rationals, ``f = expr``, from enclosures refined over
-    :data:`_DIGITS`, 0 when the last rung cannot split them; memoized per (point, rung) and (pair, rung)."""
-    at = cache(lambda x, digits: enclose_expression(expr, x, digits))
+def _last_rung(expr):
+    """The ladder's last rung for ``expr``: 80 digits, or twice the digits of its largest exact constant and 20."""
+    bits, nodes = 0, [expr]
+    while nodes:
+        node = nodes.pop()
+        form = _linear(node) if isinstance(node, (Num, BinOp)) else None
+        if form is not None and form[1] is None and form[2] is not None:
+            bits = max(bits, form[2].numerator.bit_length(), form[2].denominator.bit_length())
+        nodes += [child for child in vars(node).values() if isinstance(child, (Num, Var, Neg, Call, BinOp))]
+    return max(_DIGITS[-1], 2 * math.ceil(bits * math.log10(2)) + 20)
 
-    @cache
-    def difference(pair, digits):
-        (a_lo, a_hi), (b_lo, b_hi) = at(pair[0], digits), at(pair[1], digits)
-        return a_lo - b_hi, a_hi - b_lo
 
-    def sign(first, second=None):
-        for digits in _DIGITS:
-            lo, hi = difference(first, digits)
-            other_lo, other_hi = (0, 0) if second is None else difference(second, digits)
-            if lo > other_hi:
-                return 1
-            if hi < other_lo:
-                return -1
-            if lo == hi == other_lo == other_hi:  # exactly equal: no rung splits them
+class _Ladder:
+    """Certified comparisons of sums of ``f = expr`` at rationals ``x >= 0``, from enclosures refined over
+    ``rungs``, :data:`_DIGITS` with a last rung from :func:`_last_rung`.  ``enclose(x, digits)`` memoizes the
+    enclosures for the last :data:`_LADDER_CAP` keys, for every caller that compares or encloses ``f``."""
+
+    def __init__(self, expr):
+        self.rungs = (*_DIGITS[:-1], _last_rung(expr))
+        self.enclose = lru_cache(_LADDER_CAP)(lambda x, digits: enclose_expression(expr, x, digits))
+
+    def sign(self, plus, minus=()):
+        """The sign of ``sum(f(p) for p in plus) - sum(f(q) for q in minus)``: 1 or -1, 0 for an exact tie, and
+        ``None`` where the last rung cannot split them.  A point on both sides cancels first, so permuted sums
+        tie exactly and no enclosure is made for them."""
+        plus, minus = Counter(plus), Counter(minus)
+        plus, minus = plus - minus, minus - plus
+        for digits in self.rungs:
+            ups, downs = ([self.enclose(x, digits) for x in side.elements()] for side in (plus, minus))
+            lo = sum(a for a, _ in ups) - sum(b for _, b in downs)
+            hi = sum(b for _, b in ups) - sum(a for a, _ in downs)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            if lo == hi:  # both 0: exactly equal
                 return 0
-        return 0
-
-    return sign
-
-
-def check_increasing(expr: Expression, grid) -> MonotonicityReport:
-    """Check strict increase of the expression along an ascending positive grid.
-
-    Adjacent points are compared in floats with no tolerance.  A pair the floats
-    do not order (a large constant may absorb the change) fails only if
-    :func:`_signs` cannot order it either, at 80 digits.  Float evaluation errors propagate.
-    """
-    points = tuple(map(float, _positive_grid(grid)))
-    if any(b <= a for a, b in zip(points, points[1:])):
-        raise ValueError("the grid must be strictly ascending")
-    sign = _signs(expr)
-    previous = evaluate_expression(expr, points[0])
-    for a, b in zip(points, points[1:]):
-        current = evaluate_expression(expr, b)
-        try:
-            rises = previous < current or sign((Fraction(a), Fraction(b))) < 0
-        except ExpressionEvalError:  # an enclosure that raises proves nothing
-            rises = False
-        if not rises:
-            return MonotonicityReport(False, (a, b))
-        previous = current
-    return MonotonicityReport(True, None)
+        return None

@@ -14,10 +14,9 @@ precomputed block of every assignment of the last goods, evaluated a column
 at a time; a scan memoizes an agent's column by its prefix total, up to a cap.
 The Pareto check walks the prefixes one by one, as it may prune them and its
 first dominator may lie off any frontier.  The welfare ranking walks them
-grouped by their totals, each group once, and for an ``f`` proved rising (the
-Nash product among them) only the Pareto frontier of the groups and of the
-block entries: its maximizers are Pareto optimal.  Any other ``f``, whose tie
-band may hold a dominated allocation, walks every group.
+grouped by their totals, each group once, and only the Pareto frontier of the
+groups and of the block entries: every rule it ranks rises, so its maximizers
+are Pareto optimal.
 """
 
 import json
@@ -268,12 +267,12 @@ def _blocks(rows, prune=None):
     return suffixes, gathers, _row_sums(rows, s)[0], _assignments(tuple(row[: m - s] for row in rows), prune)
 
 
-def _groups(rows, frontier):
+def _groups(rows):
     """The ranking's walk: :func:`_blocks` with ``prefixes`` grouped as ``(group, totals)``, each group a list of
     the prefixes of those totals in order, the groups in order of their first prefix, and each ``suffixes[k]`` a
     tuple of suffixes: the block of a group is every ``p + q``, ``p`` in the group and ``q`` in ``suffixes[k]``.
-    ``frontier``, for a key that rises when a total rises and none falls, keeps on each side only the totals that
-    no other's weakly exceed (:func:`_maxima`), each ``suffixes[k]`` then holding every suffix of one kept totals,
+    For a key that rises when a total rises and none falls, it keeps on each side only the totals that no
+    other's weakly exceed (:func:`_maxima`), each ``suffixes[k]`` then holding every suffix of one kept totals,
     unless the walk has at most ``n**2`` prefixes or a block keeps at least three in four entries."""
     suffixes, gathers, bundles, prefixes = _blocks(rows)
     n, m, s = len(rows), len(rows[0]), len(suffixes[0])
@@ -281,7 +280,7 @@ def _groups(rows, frontier):
     for prefix, totals in prefixes:
         groups.setdefault(tuple(totals), []).append(tuple(prefix))
     walk = _suffix_table(n, s)[2], gathers, bundles, zip(groups.values(), groups)
-    if not frontier or m - s <= 2:  # on at most n**2 prefixes, filtering costs as much as a few whole blocks
+    if m - s <= 2:  # on at most n**2 prefixes, filtering costs as much as a few whole blocks
         return walk
     entries = {}
     for k, vector in enumerate(zip(*[gather(values) for gather, values in zip(gathers, bundles)])):

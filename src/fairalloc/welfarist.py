@@ -6,31 +6,29 @@ bundle utility and picks an allocation maximizing the sum.  Every entry point
 ranks an ``f`` whose tree :func:`~fairalloc.funcparse.linear_form` recognises as
 ``a*ln(x) + c`` (maximum Nash welfare) by exact rational products, and one it
 recognises as ``a*x + c`` (utilitarian welfare) in closed form, by giving each good
-to an agent who values it most, so their argmax and tie count are immune to
-rounding; any other ``f`` by float sums within a tie band, whose Pareto-optimal members
-alone count if :func:`~fairalloc.funcparse.increasing` proves ``f`` rising.  Every
-solver breaks ties by the lexicographically smallest assignment vector.  Each class
-reads its own parameters, numbers or a spec's strings, as exact rationals.
+to an agent who values it most; any other ``f`` that
+:func:`~fairalloc.funcparse.increasing` proves rising by the certified order of
+its exact sums, and no other ``f`` at all.  Every solver breaks ties by the
+lexicographically smallest assignment vector.  Each class reads its own
+parameters, numbers or a spec's strings, as exact rationals.
 
-Both rankings that are not closed form share one scan over the kernel of
-:mod:`fairalloc.model`, which groups the prefixes of the goods by their totals
-and hands over the allocations of the last goods as one block per group; they
-differ only in the term, how terms combine and the tie tolerance.  A scan
-memoizes each agent's column by its prefix total, up to a cap; ``f`` keeps
-``f(t / L)`` per integer total ``t`` across calls.  A rule proved rising, the
-Nash product among them, walks only the Pareto frontier of the groups and block
-entries and keeps only the band's undominated members, as its maximizers are
-Pareto optimal; any other ``f`` walks everything, as its band may hold a
-dominated allocation.
+Both rankings that are not closed form share one scan over the Pareto frontier
+of the kernel of :mod:`fairalloc.model`, grouped by prefix totals, one block of
+the last goods per group.  The Nash product's integer keys are exact; a rising
+``f`` is scanned by the floats nearest its terms' enclosures, within a band as
+wide as their error, whose totals its :class:`~fairalloc.funcparse._Ladder` then
+orders.  A scan memoizes columns by prefix total, up to a cap; ``f`` keeps its
+keys per total and its enclosures across calls.
 """
 
+import logging
 import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import compress, product, repeat
-from operator import add, ge, le, mul
+from operator import add, le, mul
 
 from .errors import ExpressionEvalError, InvalidWelfareFunctionError
 from .funcparse import (
@@ -39,7 +37,8 @@ from .funcparse import (
     Expression,
     Num,
     Var,
-    check_increasing,
+    _LADDER_CAP,
+    _Ladder,
     compile_expression,
     increasing,
     linear_form,
@@ -49,6 +48,7 @@ from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,
     Profile,
+    _assignments,
     _groups,
     _memo,
     _rational,
@@ -56,18 +56,9 @@ from .model import (
     _totals,
 )
 
+logger = logging.getLogger(__name__)
+
 NEG_INF = float("-inf")
-
-#: Absolute tolerance on float welfare used to detect ties among the maximizers
-#: of an ``f`` not recognised as log-affine or affine; ordering itself is strict
-#: comparison.
-TIE_TOLERANCE = 1e-9
-
-#: Grid on which custom expressions are validated to be strictly increasing.
-INCREASING_VALIDATION_GRID = tuple(i / 10 for i in range(1, 101))
-
-#: Most distinct bundle totals whose welfare terms one memo keeps.
-_TERMS_CAP = 1 << 12
 
 
 def _sized(x) -> str:
@@ -95,10 +86,11 @@ def _exact(f, what):
 
 
 class WelfareFunction:
-    """An increasing function from [0, inf) into [-inf, inf), defined once by its tree
-    ``ast`` with exact parameters.  ``value`` evaluates the tree in floats, ``-inf`` only
-    at 0, compiled once per instance (no part of equality, hash, repr or pickling); the
-    search encloses the same tree.  Instances are immutable and safe to share."""
+    """An increasing function from [0, inf) into [-inf, inf), defined once by its tree ``ast`` with exact
+    parameters.  ``value`` evaluates the tree in floats, ``-inf`` only at 0, compiled once per instance, as are
+    the tree's proofs and its one :class:`~fairalloc.funcparse._Ladder`, by which the solvers and the search
+    compare it (no part of equality, hash, repr or pickling).  The solvers refuse a tree neither recognised nor
+    proved rising, and a subclass with no tree.  Instances are immutable and safe to share."""
 
     def value(self, x) -> float:
         if x < 0:
@@ -122,22 +114,30 @@ class WelfareFunction:
 
     @cached_property
     def _form(self):
-        """The tree's :func:`~fairalloc.funcparse.linear_form`; ``None`` without a tree."""
-        return self._proof(linear_form)
+        """The tree's :func:`~fairalloc.funcparse.linear_form`."""
+        return linear_form(self.ast())
 
     @cached_property
     def _increasing(self):
-        """Whether :func:`~fairalloc.funcparse.increasing` proves the tree rising; false without a tree."""
-        return bool(self._proof(increasing))
+        """Whether :func:`~fairalloc.funcparse.increasing` proves the tree rising."""
+        return increasing(self.ast())
 
-    def _proof(self, prove):
+    @cached_property
+    def _ladder(self):
+        return _Ladder(self.ast())
+
+    def _ranking(self):
+        """``"ln"`` or ``"x"``, the recognised form, else ``"rising"`` if the tree is proved increasing; a tree
+        that is neither, or none, raises :class:`InvalidWelfareFunctionError`, as no certified order ranks it."""
         try:
-            return prove(self.ast())
-        except NotImplementedError:
-            return None
+            if self._form or self._increasing:
+                return self._form[0] if self._form else "rising"
+        except NotImplementedError as exc:
+            raise InvalidWelfareFunctionError(str(exc)) from None
+        raise InvalidWelfareFunctionError(f"{self} is not proved increasing by funcparse.increasing")
 
     def __getstate__(self):
-        cached = ("_compiled", "_form", "_increasing", "_terms")
+        cached = ("_compiled", "_form", "_increasing", "_ladder", "_keys")
         return {name: item for name, item in vars(self).items() if name not in cached}
 
     def ast(self) -> Expression:
@@ -207,20 +207,15 @@ class Exp(WelfareFunction):
 
 @dataclass(frozen=True)
 class CustomExpression(WelfareFunction):
-    """A user-supplied expression in x, validated to be strictly increasing
-    on a sample grid at construction time."""
+    """A user-supplied expression in x, refused at construction unless
+    :func:`~fairalloc.funcparse.linear_form` recognises it or
+    :func:`~fairalloc.funcparse.increasing` proves it rising."""
 
     expression: Expression
     source: str
 
     def __post_init__(self):
-        report = check_increasing(self.expression, INCREASING_VALIDATION_GRID)
-        if not report.increasing:
-            x1, x2 = report.failure
-            raise InvalidWelfareFunctionError(
-                f"expression {self.source!r} is not increasing: "
-                f"f({x1:g}) >= f({x2:g})"
-            )
+        self._ranking()
 
     @classmethod
     def from_text(cls, text: str) -> "CustomExpression":
@@ -280,10 +275,10 @@ class ExtendedWelfare:
 def allocation_welfare(
     profile: Profile, allocation: Allocation, f: WelfareFunction
 ) -> ExtendedWelfare:
-    """Sum of ``f`` over the agents' bundle utilities, -inf terms counted
+    """Sum of ``f.value`` over the agents' bundle utilities, -inf terms counted
     apart, the finite ones summed in agent order."""
-    memo = _terms(f, profile._scaled[1])
-    terms = [memo[total] for total in _totals(profile, allocation)]
+    scale = profile._scaled[1]
+    terms = [f.value(total if scale == 1 else Fraction(total, scale)) for total in _totals(profile, allocation)]
     finite = 0.0
     for term in terms:
         if term != NEG_INF:
@@ -299,10 +294,9 @@ class SolveResult:
     For ``f`` recognised as affine these are the allocations that give each good to an
     agent who values it most.  Any other ``f`` ranks by the fewest -inf terms, then the
     others: for ``f`` recognised as log-affine the maximizers are the exact ties of the
-    Nash product (see :func:`max_nash_welfare`), for any other the allocations within
-    :data:`TIE_TOLERANCE` of the maximum finite part, found by strict comparison.  Of
-    these, if ``f`` is log-affine or :func:`~fairalloc.funcparse.increasing` proves it
-    rising, only those that are Pareto optimal count (every Nash tie is).
+    Nash product (see :func:`max_nash_welfare`), for ``f`` proved rising the ties of the
+    exact sum of the others, by certified signs; a tie that the ladder's last rung cannot
+    split counts as one, and is logged at INFO.
     """
 
     allocation: Allocation
@@ -310,98 +304,95 @@ class SolveResult:
     maximizer_set_size: int
 
 
-class _Terms(dict):
-    """``f(t / scale)`` for integer bundle totals ``t``, memoized up to
-    :data:`_TERMS_CAP` distinct totals (not those where ``f`` raises).
-
-    Small integer utilities repeat their totals across calls with the same
-    ``f`` object, so ``f`` runs once per total; with generic utilities nearly
-    every subset sum is distinct, and the cap keeps the memo's memory fixed.
-    """
+class _Terms:
+    """One scan's float keys of ``f(t / scale)`` for integer bundle totals ``t``: the float nearest the midpoint of
+    its first-rung enclosure by ``f``'s ladder, or ``-inf`` where ``f.value`` is (at 0 alone, for a rising ``f``).
+    ``bound`` is the most, over the totals this scan met, of how far a key lies from its term and of its magnitude
+    times 2^-52.  Keys and bounds are kept across scans by :func:`_keys`, as enclosures are by the ladder."""
 
     def __init__(self, f, scale):
-        super().__init__()
-        self.f = f
-        self.scale = scale
+        self.f, self.scale, self.bound = f, scale, 0.0
+        self.memo, self.bounds = _keys(f, scale)
 
-    def __missing__(self, total):
-        term = self.f.value(Fraction(total, self.scale))
-        if len(self) < _TERMS_CAP:
-            self[total] = term
-        return term
+    def keys(self, totals):
+        """The keys of ``totals``, their bounds counted in this scan's."""
+        try:
+            self.bound = max(self.bound, max(map(self.bounds.__getitem__, totals)))
+        except KeyError:  # a total not kept: read every one
+            keys, bounds = zip(*map(self.entry, totals))
+            self.bound = max(self.bound, *bounds)
+            return list(keys)
+        return list(map(self.memo.__getitem__, totals))
+
+    def entry(self, total):
+        if total in self.bounds:
+            return self.memo[total], self.bounds[total]
+        x = Fraction(total, self.scale)
+        key, bound = self.f.value(x), 0.0  # raises where the float tree does
+        if key != NEG_INF:
+            try:
+                lo, hi = self.f._ladder.enclose(x, self.f._ladder.rungs[0])
+            except ExpressionEvalError as exc:
+                raise InvalidWelfareFunctionError(f"{self.f} cannot be enclosed at a {_sized(x)}: {exc}") from None
+            middle = (lo + hi) / 2
+            key = float(middle)
+            bound = max(math.nextafter(float(hi - middle + abs(Fraction(key) - middle)), math.inf), abs(key) * 2.0**-52)
+        if len(self.bounds) < _LADDER_CAP:
+            self.memo[total], self.bounds[total] = key, bound
+        return key, bound
+
+    def width(self, n):
+        """More than twice the most by which a float sum of ``n`` keys can miss the exact sum of their terms: each
+        key's error, and ``n - 1`` roundings of partial sums of at most ``n`` times the largest key."""
+        return 3 * n * (n + 1) * self.bound
 
 
-def _terms(f, scale):
-    """The memo of ``f`` at ``scale``, kept on ``f`` for the last scale it was used at (no part of
-    equality, hash, repr or pickling), so ``f`` need not be hashable and two functions never share one."""
-    terms = vars(f).get("_terms")
-    if terms is None or terms.scale != scale:
-        terms = vars(f)["_terms"] = _Terms(f, scale)
-    return terms
+def _keys(f, scale):
+    """``f``'s keys and bounds by total at ``scale``, up to :data:`_LADDER_CAP` totals (not where ``f`` raises), kept
+    on ``f`` for its last scale (no part of equality, hash, repr or pickling): two functions never share them."""
+    memo = vars(f).get("_keys")
+    if memo is None or memo[0] != scale:
+        memo = vars(f)["_keys"] = (scale, {}, {})
+    return memo[1:]
 
 
 class _TieTracker:
-    """Running maximum of ``(primary, secondary)`` keys, plus the members of its
-    tie band: the same primary part, secondary at most ``tolerance`` below.
-    Keys that fall out of the band never re-enter it (the maximum only grows),
-    so dropping them on each improvement is safe.
-    """
+    """Running maximum of ``(primary, secondary)`` keys, plus the members of its tie band: the same primary part,
+    secondary at most ``width()`` below.  When a key is offered, every offered key lies within half the current
+    width of its exact value, so a key below the band is certified lower than the maximum's, and never wins."""
 
-    def __init__(self, tolerance):
-        self.tolerance = tolerance
+    def __init__(self, width):
+        self.width = width
         self.best = None
-        self.floor = None  # lowest secondary part in the band
-        self.assignment = None
         self.members = []  # (key, prefixes, suffixes): every allocation p + q, p in prefixes, q in suffixes
-
-    def _in_band(self, key):
-        return key[0] == self.best[0] and key[1] >= self.floor
 
     def offer_block(self, prefixes, suffixes, primary, secondaries):
         """Offer each ``p + q``, ``p`` in ``prefixes`` and ``q`` in ``suffixes[k]``, under the key
         ``(primary, secondaries[k])`` for every ``k`` in order; the scan drops lower primaries first."""
         top = max(secondaries)
-        best = self.best
-        if best is not None and (primary, top) < (best[0], self.floor):
-            return
-        if best is None or (primary, top) > best:
-            self.best, self.floor = (primary, top), top - self.tolerance
-            self.assignment = prefixes[0] + suffixes[secondaries.index(top)][0]
-            self.members = [m for m in self.members if self._in_band(m[0])]
-        for k in compress(range(len(secondaries)), map(le, repeat(self.floor), secondaries)):
-            self.members.append(((primary, secondaries[k]), prefixes, suffixes[k]))
-
-    def drop_dominated(self, profile):
-        """Keep the members whose totals no other member's weakly exceed everywhere, and take the first
-        allocation at the top key left: for a rising ``f``, the band's Pareto-optimal allocations."""
-        if len(self.members) < 2 or not self.tolerance:  # one totals vector; or no band: a dominator's key is higher
-            return
-        # a member's allocations share their totals
-        vectors, top = [tuple(_totals(profile, Allocation(ps[0] + qs[0]))) for _, ps, qs in self.members], []
-        for vector in sorted(set(vectors), key=sum, reverse=True):  # a dominator has a larger sum
-            if not any(all(map(ge, kept, vector)) for kept in top):
-                top.append(vector)
-        if len(top) < len(set(vectors)):  # else the first allocation at the top key is already the tracker's
-            self.members = list(compress(self.members, map(set(top).__contains__, vectors)))
-            best = max(key for key, _, _ in self.members)
-            self.assignment = min(ps[0] + qs[0] for key, ps, qs in self.members if key == best)
+        if self.best is None or (primary, top) > self.best:
+            self.best = (primary, top)
+            self.members = [m for m in self.members if m[0] >= (primary, top - self.width())]
+        floor = self.best[1] - self.width()
+        if (primary, top) >= (self.best[0], floor):
+            for k in compress(range(len(secondaries)), map(le, repeat(floor), secondaries)):
+                self.members.append(((primary, secondaries[k]), prefixes, suffixes[k]))
 
 
-def _scan_blocks(rows, tracker, term, excluded, neutral, combine, frontier):
-    """Offer every allocation of the kernel's grouped walk to ``tracker`` under the key ``(-e, the
+def _scan_blocks(rows, tracker, terms, excluded, neutral, combine):
+    """Offer every allocation of the kernel's grouped frontier walk to ``tracker`` under the key ``(-e, the
     others' terms combined in agent order)``, ``e`` the number of agents whose term is ``excluded``.
-    An agent's terms are computed once per bundle of the last goods and gathered into a
+    ``terms`` maps an agent's totals, one per bundle of the last goods, to their terms, which are gathered into a
     column per block.  The scan's :func:`_memo` keeps an agent's column and excluded terms'
-    flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs.
-    ``frontier`` (see :func:`~fairalloc.model._groups`) is only for a key that no rising total lowers."""
-    suffixes, gathers, bundles, prefixes = _groups(rows, frontier)
+    flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs."""
+    suffixes, gathers, bundles, prefixes = _groups(rows)
 
     def build(agent, total):
-        gather, terms = gathers[agent], [term(total + value) for value in bundles[agent]]
-        if excluded not in terms:
-            return gather(terms), None
-        flags = [value == excluded for value in terms]
-        return gather([neutral if flag else value for flag, value in zip(flags, terms)]), gather(flags)
+        gather, column = gathers[agent], terms([total + value for value in bundles[agent]])
+        if excluded not in column:
+            return gather(column), None
+        flags = [value == excluded for value in column]
+        return gather([neutral if flag else value for flag, value in zip(flags, column)]), gather(flags)
 
     def fewest(flagged):  # from the flags the loop has just gathered for ``flagged``
         counts = list(reduce(partial(map, add), flag_columns))
@@ -411,18 +402,12 @@ def _scan_blocks(rows, tracker, term, excluded, neutral, combine, frontier):
     column_of, fewest_of = _memo(build, rows, suffixes), _memo(fewest, rows, suffixes)
     for prefix, totals in prefixes:
         keys, flagged, flag_columns = None, [], []
-        try:
-            for agent, total in enumerate(totals):
-                column, flags = column_of(agent, total)
-                if flags is not None:
-                    flagged.append((agent, total))
-                    flag_columns.append(flags)
-                keys = column if keys is None else list(map(combine, keys, column))
-        except Exception:  # raise the error that an allocation-by-allocation scan meets first
-            subsets = [gather(values) for gather, values in zip(gathers, bundles)]
-            for k, (total, subset) in product(range(len(suffixes)), zip(totals, subsets)):
-                term(total + subset[k])
-            raise
+        for agent, total in enumerate(totals):
+            column, flags = column_of(agent, total)
+            if flags is not None:
+                flagged.append((agent, total))
+                flag_columns.append(flags)
+            keys = column if keys is None else list(map(combine, keys, column))
         if flagged:
             least, keep, kept = fewest_of(tuple(flagged))
             tracker.offer_block(prefix, kept, -least, list(compress(keys, keep)))
@@ -430,38 +415,60 @@ def _scan_blocks(rows, tracker, term, excluded, neutral, combine, frontier):
             tracker.offer_block(prefix, suffixes, 0, keys)
 
 
+def _certified(profile, f, terms, members):
+    """The members at the top of the exact order of their finite terms' sums, compared by the certified sign of
+    ``f``'s ladder from the highest float key down; a tie that the last rung cannot split counts, logged at INFO."""
+    if len(members) == 1:
+        return members
+    vectors = {}
+    for member in members:  # a member's allocations share their totals
+        vectors.setdefault(tuple(_totals(profile, Allocation(member[1][0] + member[2][0]))), []).append(member)
+    points = {v: [Fraction(t, terms.scale) for t in v if terms.entry(t)[0] != NEG_INF] for v in vectors}
+    first, *rest = sorted(vectors, key=lambda v: vectors[v][0][0], reverse=True)
+    top, uncertified = [first], False
+    for vector in rest:
+        sign = f._ladder.sign(points[vector], points[top[0]])
+        if sign == 1:
+            top, uncertified = [vector], False
+        elif not sign:
+            top.append(vector)
+            uncertified |= sign is None
+    if uncertified:
+        logger.info("%s: welfare ties that %d digits cannot split counted as ties, uncertified: totals %s",
+                    f, f._ladder.rungs[-1], top)
+    return [member for vector in top for member in vectors[vector]]
+
+
 def _scan_welfare(profile, f, budget, keep_members=False):
-    """The one ranking behind every solver, once the budget is checked, by ``f``'s recognised
-    form.  ``a*x + c`` has ``a > 0``, so its welfare is ``a/L`` times the value of each good to
-    its owner, plus ``n*c``: its maximizers give each good to any of the agents who value it
-    most, and the first one to the smallest.  Any other ``f`` goes through one scan: ``a*ln(x) + c``
-    by the exact Nash key (the fewest zero totals, then the product of the others), with no tie
-    band, and the rest by float terms summed in agent order within the tie band.  A rule proved
-    rising, the Nash key among them, walks the frontier and drops the band's dominated members.
-    The welfare is :func:`allocation_welfare` of the first maximizer; ``members``, if kept, lists every one."""
+    """The one ranking behind every solver, once the budget is checked, by ``f``'s :meth:`~WelfareFunction._ranking`.
+    ``a*x + c`` has ``a > 0``, so its welfare is ``a/L`` times the value of each good to its owner, plus ``n*c``: its
+    maximizers give each good to any of the agents who value it most, and the first one to the smallest.  Any other
+    ``f`` goes through one scan of the frontier: ``a*ln(x) + c`` by the exact Nash key (the fewest zero totals, then
+    the product of the others), and a rising ``f`` by the float keys of :class:`_Terms` summed in agent order, within
+    a band as wide as their error, whose totals :func:`_certified` orders exactly.  The welfare is
+    :func:`allocation_welfare` of the first maximizer; ``members``, if kept, lists every one."""
     rows, scale = _scaled_rows(profile, budget)
-    kind = f._form and f._form[0]
+    kind = f._ranking()
     if kind == "x":
         winners = [list(compress(range(profile.n), map(max(column).__eq__, column))) for column in zip(*rows)]
         assignment, count = tuple(agents[0] for agents in winners), math.prod(map(len, winners))
         members = list(product(*winners)) if keep_members else None
-    else:  # a dominator of a proven f's band member is in the band, and fails where it fails
+    else:
         if kind == "ln":
-            tolerance, scan = 0, partial(_scan_blocks, rows, term=int, excluded=0, neutral=1, combine=mul)
+            _scan_blocks(rows, tracker := _TieTracker(lambda: 0), terms=list, excluded=0, neutral=1, combine=mul)
+            top = tracker.members
         else:
-            tolerance, scan = TIE_TOLERANCE, partial(
-                _scan_blocks, rows, term=_terms(f, scale).__getitem__, excluded=NEG_INF, neutral=0.0, combine=add)
-        proven = kind == "ln" or f._increasing
-        try:
-            scan(tracker := _TieTracker(tolerance), frontier=proven)
-        except InvalidWelfareFunctionError:  # raise what the full walk meets first
-            if not proven:
+            terms = _Terms(f, scale)
+            tracker = _TieTracker(partial(terms.width, profile.n))
+            try:
+                _scan_blocks(rows, tracker, terms=terms.keys, excluded=NEG_INF, neutral=0.0, combine=add)
+            except InvalidWelfareFunctionError:  # raise what a walk in lexicographic order meets first
+                for _, totals in _assignments(rows):
+                    terms.keys(totals)
                 raise
-            scan(tracker := _TieTracker(tolerance), frontier=False)
-        if proven:
-            tracker.drop_dominated(profile)
-        assignment, count = tracker.assignment, sum(len(ps) * len(qs) for _, ps, qs in tracker.members)
-        members = sorted(p + q for _, ps, qs in tracker.members for p, q in product(ps, qs)) if keep_members else None
+            top = _certified(profile, f, terms, tracker.members)
+        assignment, count = min(ps[0] + qs[0] for _, ps, qs in top), sum(len(ps) * len(qs) for _, ps, qs in top)
+        members = sorted(p + q for _, ps, qs in top for p, q in product(ps, qs)) if keep_members else None
     allocation = Allocation(assignment)
     return SolveResult(allocation, allocation_welfare(profile, allocation, f), count), members
 
@@ -475,8 +482,8 @@ def maximize_welfare(
 ) -> SolveResult:
     """Maximize the additive welfare over all allocations; ``f`` recognised as
     log-affine is maximum Nash welfare, ranked exactly (see :func:`max_nash_welfare`),
-    and ``f`` recognised as affine is ranked exactly in closed form; any other by float
-    sums, its maximizers the allocations within the tie band (and Pareto optimal if rising).
+    ``f`` recognised as affine is ranked exactly in closed form, and ``f`` proved rising
+    by the certified order of its exact sums; any other ``f`` is refused.
 
     ``method`` is ``"exhaustive"`` or ``"branch-and-bound"``; it is validated
     and has no effect, as both run the same ranking.
@@ -496,9 +503,8 @@ def welfare_maximizers(
 
     The second element lists every maximizer in lexicographic order: the exact
     ties of the Nash key for recognised log-affine ``f``, every allocation that gives
-    each good to an agent who values it most for recognised affine ``f``, every allocation
-    within the tie band otherwise, and Pareto optimal if ``f`` is proved rising.  Its length
-    equals ``maximizer_set_size``.
+    each good to an agent who values it most for recognised affine ``f``, and the ties of
+    the certified order for ``f`` proved rising.  Its length equals ``maximizer_set_size``.
     """
     result, members = _scan_welfare(profile, f, budget, keep_members=True)
     return result, tuple(map(Allocation, members))

@@ -5,8 +5,11 @@ without calling the library's own checkers or solvers.
 """
 
 import math
+import operator
 from fractions import Fraction
 from itertools import product
+
+import mpmath
 
 from fairalloc.errors import ExpressionEvalError
 from fairalloc.funcparse import Call, Neg, Num, Var
@@ -190,3 +193,39 @@ def _eval(node, x):
         raise ExpressionEvalError(
             f"power overflow: base {left!r}, exponent {right!r}"
         ) from None
+
+
+_MP_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": mpmath.power}
+
+
+def mp_value(node, x):
+    """The expression at ``x`` in mpmath arithmetic at the working precision (``ln(0) = -inf``)."""
+    if isinstance(node, Num):
+        return mpmath.mpf(node.value.numerator) / node.value.denominator
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -mp_value(node.operand, x)
+    if isinstance(node, Call):
+        return {"ln": mpmath.log, "exp": mpmath.exp, "sqrt": mpmath.sqrt}[node.name](mp_value(node.operand, x))
+    return _MP_BINARY[node.op](mp_value(node.left, x), mp_value(node.right, x))
+
+
+def exact_maximizers(profile, tree, digits=150):
+    """Every maximizer, in lexicographic order, of the welfare of the rising ``tree``, by mpmath brute force
+    at ``digits`` digits: the fewest ``-inf`` terms first, then the largest sum of the others, with sums
+    within ``10^-(digits - 40)`` of the largest (relative to it, where it exceeds 1) counted as ties."""
+    with mpmath.workdps(digits):
+        terms, table = {}, []
+        for candidate in product(range(profile.n), repeat=profile.m):
+            values = []
+            for u in utilities_of(profile, candidate):
+                if u not in terms:
+                    terms[u] = mp_value(tree, mpmath.mpf(u.numerator) / u.denominator)
+                values.append(terms[u])
+            finite = [v for v in values if v != mpmath.ninf]
+            table.append((candidate, len(finite), mpmath.fsum(finite)))
+        most = max(count for _, count, _ in table)
+        best = max(total for _, count, total in table if count == most)
+        slack = mpmath.mpf(10) ** (40 - digits) * max(1, abs(best))
+        return [candidate for candidate, count, total in table if count == most and total >= best - slack]

@@ -21,7 +21,8 @@ from fairalloc import (
     maximize_welfare,
     scaled_difference,
 )
-from fairalloc.funcparse import BinOp, Num, Var
+from fairalloc.fairness import Ef1Verdict
+from fairalloc.funcparse import BinOp, Num, Var, parse_expression
 from fairalloc.welfarist import (
     Affine,
     CustomExpression,
@@ -149,15 +150,16 @@ class TestCertifiedConstancy:
 
     @pytest.mark.parametrize("spec,slope", [("expr:ln(x*x)", 2), ("expr:ln(x)+x-x", 1)])
     def test_unrecognised_log_affine_trees_tie_at_80_digits(self, spec, slope):
-        f = welfare_function_from_spec(spec)
-        assert f._form is None
+        # as welfare functions, ln(x*x) is recognised and ln(x)+x-x is refused: here both are bare trees, unrecognised
+        f = Tree(parse_expression(spec.removeprefix("expr:")))
+        f._form = None
         for k in range(1, 6):
             assert constancy_check(f, k, [Fraction(1, 2), 1, 2, 5]).constant
         outcome = fit_log(f, k_max=10)
         assert outcome.is_log_affine
         assert abs(outcome.fit.a - slope) <= 1e-12 * slope
 
-    @pytest.mark.parametrize("digits", [12, 30, 60])
+    @pytest.mark.parametrize("digits", [12, 30, 60, 100])  # 10^100 lifts the last rung to 222 digits
     def test_a_gap_below_float_resolution_is_not_constant(self, digits):
         # d_1(x) = ln 2 + x/10^c: floats see a spread of 1e-11 at most, or 0
         f = welfare_function_from_spec(f"expr:ln(x)+x/10^{digits}")
@@ -305,21 +307,31 @@ class TestFindCounterexample:
         assert scans == []
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
-    def test_rejected_candidates_are_logged(self, caplog):
-        # d_k of ln(x) + x/10^12 really varies, so candidates are built, but
-        # their welfare gaps sit inside the scans' 1e-9 tie band, where an
-        # EF1 maximizer ties with the violating one
+    def test_rejected_candidates_are_logged(self, caplog, monkeypatch):
+        # the construction verifies for every non-log f, so a checker that passes every allocation makes rejections
+        monkeypatch.setattr(characterization, "is_ef1", lambda profile, allocation: Ef1Verdict(True))
         f = CustomExpression.from_text("ln(x)+x/10^12")
         with caplog.at_level(logging.DEBUG, logger="fairalloc.characterization"):
             assert find_ef1_counterexample(f, k_max=1) is None
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert any("a tied maximizer (1, 0, 1) passes" in m and "skipping" in m for m in debug)
+        assert len(debug) == 45 and all("the chosen maximizer passes" in m and "skipping" in m for m in debug)
         # one summary for the whole search, counted by reason, and nothing louder
         (summary,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.INFO]
         assert summary == (
             "search for expr:ln(x)+x/10^12 to k=1: found k=None; "
-            "rejected {'candidates with a tied maximizer passing EF1': 45}"
+            "rejected {'candidates whose chosen maximizer passes EF1': 45}"
         )
+
+    def test_a_gap_below_float_resolution_yields_an_instance(self, caplog):
+        # a float tie band of 1e-9 rejected every candidate of ln(x) + x/10^12, and the search returned None
+        f = CustomExpression.from_text("ln(x)+x/10^12")
+        with caplog.at_level(logging.INFO, logger="fairalloc"):
+            report = find_ef1_counterexample(f)
+        assert (report.k, report.agent0_value, report.agent1_value) == (1, 1, Fraction(1, 2))
+        maximizers = oracles.exact_maximizers(report.profile, f.ast())
+        assert maximizers == [report.solve.allocation.assignment]
+        assert not any(oracles.ef1_holds(report.profile, a) for a in maximizers)
+        assert [r.getMessage() for r in caplog.records] == ["search for expr:ln(x)+x/10^12 to k=5: found k=1; rejected {}"]
 
     def test_function_without_expression_tree_is_refused(self):
         class Bare(WelfareFunction):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -14,15 +15,14 @@ from fairalloc.errors import (
     ExpressionEvalError,
     ExpressionSyntaxError,
 )
-from fairalloc import funcparse
 from fairalloc.funcparse import (
     BinOp,
     Call,
-    MonotonicityReport,
     Neg,
     Num,
     Var,
-    check_increasing,
+    _Ladder,
+    _positive_grid,
     compile_expression,
     enclose_expression,
     evaluate_expression,
@@ -30,6 +30,7 @@ from fairalloc.funcparse import (
     linear_form,
     parse_expression,
 )
+from fairalloc.errors import InvalidWelfareFunctionError
 from fairalloc.model import Profile
 from fairalloc.welfarist import solve, welfare_function_from_spec
 
@@ -222,45 +223,57 @@ class TestFuzz:
 
 
 class TestIncreasingCheck:
+    """An ``expr:`` function is built only if ``linear_form`` recognises it or ``increasing`` proves it."""
+
     def test_ln_is_increasing(self):
-        grid = [i / 10 for i in range(1, 101)]
-        assert check_increasing(parse_expression("ln(x)"), grid).increasing
+        assert increasing(parse_expression("ln(x)"))
+        welfare_function_from_spec("expr:ln(x)")  # constructs
 
     def test_negated_identity_fails_with_witness(self):
-        report = check_increasing(parse_expression("-x"), [1.0, 2.0])
-        assert not report.increasing
-        assert report.failure == (1.0, 2.0)
+        # the ladder witnesses the fall, f(1) > f(2); no rule proves the tree rising, so it is refused
+        assert _Ladder(parse_expression("-x")).sign([Fraction(1)], [Fraction(2)]) == 1
+        with pytest.raises(InvalidWelfareFunctionError, match=r"^expr:-x is not proved increasing"):
+            welfare_function_from_spec("expr:-x")
 
     def test_dipping_parabola_fails_at_first_pair(self):
         # f(1) = -3 > f(2) = -4
-        report = check_increasing(parse_expression("x^2 - 4*x"), [1.0, 2.0, 3.0])
-        assert not report.increasing
-        assert report.failure == (1.0, 2.0)
+        assert _Ladder(parse_expression("x^2 - 4*x")).sign([Fraction(1)], [Fraction(2)]) == 1
+        with pytest.raises(InvalidWelfareFunctionError, match="not proved increasing"):
+            welfare_function_from_spec("expr:x^2 - 4*x")
+
+    @pytest.mark.parametrize("text", ["x-x^2/100", "x-ln(x+1)", "ln(x)+x-x"])
+    def test_an_unproven_tree_is_refused_by_name(self, text):
+        # x-x^2/100 falls past 50; the other two rise, but no rule shows it
+        with pytest.raises(InvalidWelfareFunctionError, match=rf"^expr:{re.escape(text)} is not proved increasing"):
+            welfare_function_from_spec(f"expr:{text}")
 
     def test_grid_validation(self):
-        expr = parse_expression("x")
-        with pytest.raises(ValueError):
-            check_increasing(expr, [])
-        with pytest.raises(ValueError):
-            check_increasing(expr, [0.0, 1.0])
-        with pytest.raises(ValueError):
-            check_increasing(expr, [2.0, 1.0])
+        with pytest.raises(ValueError, match="must not be empty"):
+            _positive_grid([])
+        with pytest.raises(ValueError, match="only positive"):
+            _positive_grid([0.0, 1.0])
+        assert _positive_grid(["1/2", 2]) == (Fraction(1, 2), Fraction(2))
 
     def test_evaluation_errors_propagate(self):
         with pytest.raises(ExpressionEvalError):
-            check_increasing(parse_expression("sqrt(x-10)"), [1.0, 2.0])
+            enclose_expression(parse_expression("sqrt(x-10)"), Fraction(1), 12)
+        assert not increasing(parse_expression("sqrt(x-10)"))
 
     @pytest.mark.parametrize("text", ["ln(x)+10^17", "x+10^16", "x/10^20+1"])
     def test_a_large_constant_does_not_hide_the_increase(self, text):
-        # the float terms tie; enclosures at the exact grid points order them
-        grid = [i / 10 for i in range(1, 101)]
-        assert check_increasing(parse_expression(text), grid).increasing
+        # the float terms tie; the ladder orders the exact values
+        tree = parse_expression(text)
+        assert increasing(tree)
+        assert _Ladder(tree).sign([Fraction(1, 10)], [Fraction(1, 5)]) == -1
         welfare_function_from_spec(f"expr:{text}")  # constructs
 
     def test_a_pair_tied_at_80_digits_still_fails(self):
-        report = check_increasing(parse_expression("x+10^100-x"), [1.0, 2.0])
-        assert report == MonotonicityReport(False, (1.0, 2.0))
-        assert not check_increasing(parse_expression("10^17-x"), [1.0, 2.0]).increasing
+        # f(1) = f(2) exactly for x+10^100-x, and 10^17-x falls: neither is proved, so neither is built
+        assert _Ladder(parse_expression("x+10^100-x")).sign([Fraction(1)], [Fraction(2)]) == 0
+        assert _Ladder(parse_expression("10^17-x")).sign([Fraction(1)], [Fraction(2)]) == 1
+        for text in ("x+10^100-x", "10^17-x"):
+            with pytest.raises(InvalidWelfareFunctionError, match="not proved increasing"):
+                welfare_function_from_spec(f"expr:{text}")
 
     def test_a_large_constant_log_is_ranked_by_the_nash_key(self):
         # ln(x) + 10^17 is log-affine: the exact Nash scan, not float sums, ranks it
@@ -281,6 +294,8 @@ class TestLinearForm:
         ("2^3*ln(x)", "ln", 8), ("neg(neg(ln(x)))", "ln", 1), ("(ln(x)+1)*0.5", "ln", Fraction(1, 2)),
         ("x", "x", 1), ("x^1", "x", 1), ("2*x+1", "x", 2), ("-(1-x)", "x", 1), ("x/(1/3)", "x", 3),
         ("(x^2)^(1/2)", "x", 1), ("x+x-x/2", "x", Fraction(3, 2)), ("x*(2-1)^5+sqrt(2)", "x", 1),
+        ("ln(sqrt(x))", "ln", Fraction(1, 2)), ("ln(exp(ln(x)))", "ln", 1), ("ln(x*x)", "ln", 2),
+        ("ln(x*x^(1/2)*3)", "ln", Fraction(3, 2)), ("ln(sqrt(x*x))+ln(exp(2))", "ln", 1), ("ln(exp(x))", "x", 1),
     ])
     def test_recognised_trees_and_their_slopes(self, text, form, slope):
         assert linear_form(parse_expression(text)) == (form, slope)
@@ -289,7 +304,7 @@ class TestLinearForm:
         "ln(x+1)", "ln(x)+x/10^12", "ln(x)*ln(x)", "x^2+x", "exp(ln(x))", "ln(x)*(1+1/10^6)^(10^6)",
         "ln(x)-ln(x)+ln(x)",  # NaN at 0, not ln(0) = -inf
         "ln(x)*0+x", "ln(x)*0+ln(x)",  # NaN at 0 too
-        "-ln(x)", "-x", "x^2", "sqrt(x)", "ln(sqrt(x))", "2^x", "ln(x)^1", "x*x", "x*ln(2)", "1/x",
+        "-ln(x)", "-x", "x^2", "sqrt(x)", "ln(sqrt(x+1))", "ln(exp(x)+1)", "ln(x*(x+1))", "2^x", "ln(x)^1", "x*x", "x*ln(2)", "1/x",
         "x^(1-1)", "5", "ln(2)",
     ])
     def test_unrecognised_trees(self, text):
@@ -359,6 +374,7 @@ class TestIncreasingProof:
 
     @pytest.mark.parametrize("text", [
         "x^(1/2)", "x^2", "x^3", "exp(x)", "ln(x+1)", "x^2+x", "ln(x)+x/10^12", "2*exp(x)-1",
+        "x*x", "x*x+x", "sqrt(x)*exp(x)", "ln(x*x+1)", "x*(1+1/10^6)^(10^6)", "x*ln(2)", "x/sqrt(2)", "ln(x)*ln(2)",
         "x", "ln(x)", "sqrt(x)", "sqrt(ln(x+1))", "(x+1)^2/3+7", "exp(ln(x))", "ln(x+1/2)", "exp(x-5)", "ln(x)-1",
     ])
     def test_proven_trees(self, text):
@@ -366,7 +382,7 @@ class TestIncreasingProof:
 
     @pytest.mark.parametrize("text", [
         "x-x^2/100", "-1/x", "x-ln(x+1)",  # falls past x = 50; divides by 0 at 0; rises, but no rule shows it
-        "5", "-x", "x*x", "x*0+x", "x+ln(2)", "x+ln(0)", "sqrt(x-1)", "ln(x-1)", "(x-1)^2", "x^(-1)", "2^x",
+        "5", "-x", "x*0+x", "(x-1)*x", "ln(x)*x", "x*ln(1/2)", "x/(1-sqrt(2))", "x+ln(2)", "x+ln(0)", "sqrt(x-1)", "ln(x-1)", "(x-1)^2", "x^(-1)", "2^x",
         "-(1-x)", "x/0", "x*(0-1)",
         # rising, but floats may cancel to 0 or below near 0: exp(x)-1 is 0 at x = 10^-20
         "ln(exp(x)-1)", "sqrt(x+3/10-1/10-2/10)", "(x+1-1)^(1/2)", "ln(x+(0-1)+2)", "ln(exp(x-800))",
@@ -383,8 +399,17 @@ class TestIncreasingProof:
         assume(increasing(tree))
         fails = [float_fails(tree, x) for x in (Fraction(1, 10**20), *RISING_GRID)]
         assert fails == sorted(fails)  # past the first failing point, every one fails: the floats overflow
+        ladder = _Ladder(tree)
+        last = ladder.rungs[-1]
         for a, b, failed in zip(RISING_GRID, RISING_GRID[1:], fails[2:]):
-            assert failed or funcparse._signs(tree)((a, b)) < 0
+            if not failed:  # no verdict only where f(b) - f(a) is below every decimal, as for x^(7^8) near 1/10
+                sign = ladder.sign([a], [b])
+                assert sign == -1 or sign is None and tiny(ladder.enclose(b, last)[1] - ladder.enclose(a, last)[0])
+
+
+def tiny(d):
+    """Whether the rational ``d`` is below 2^-3000000 (about 10^-903090), past decimal's least exponent."""
+    return d.denominator.bit_length() - d.numerator.bit_length() > 3_000_000
 
 
 def float_fails(tree, x):

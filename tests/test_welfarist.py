@@ -69,9 +69,9 @@ class TestWelfareFunctions:
             Affine(1, 0).value(-1)
 
     def test_custom_expression_must_increase(self):
-        with pytest.raises(InvalidWelfareFunctionError, match="not increasing"):
+        with pytest.raises(InvalidWelfareFunctionError, match="not proved increasing"):
             CustomExpression.from_text("-x")
-        with pytest.raises(InvalidWelfareFunctionError, match="not increasing"):
+        with pytest.raises(InvalidWelfareFunctionError, match="not proved increasing"):
             CustomExpression.from_text("x^2 - 4*x")
 
     def test_custom_matches_builtin_family(self):
@@ -176,12 +176,20 @@ class TestCompiledValue:
             Affine(1, 0).value(10**400)
         with pytest.raises(InvalidWelfareFunctionError, match="^power:2 overflowed at a utility with 201 digits$"):
             Power(2).value(Fraction(10**201, 7))
+        unproven = Unchecked.from_text("ln(x-1/20)")  # no rule proves it, so only a subclass builds it
         with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility of at most 10\^-2: ln of a"):
-            CustomExpression.from_text("ln(x-1/20)").value(Fraction(1, 100))
+            unproven.value(Fraction(1, 100))
         with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility 0: ln of a negative value \(-0\.05\)$"):
-            CustomExpression.from_text("ln(x-1/20)").value(0)
+            unproven.value(0)
         with pytest.raises(InvalidWelfareFunctionError, match="^affine:2,0 evaluated to inf at a utility with 309 digits$"):
             Affine(2, 0).value(10**308)
+
+
+class Unchecked(CustomExpression):
+    """An expression built without the check that it is proved increasing."""
+
+    def __post_init__(self):
+        pass
 
 
 class TestExtendedWelfare:
