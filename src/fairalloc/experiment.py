@@ -86,42 +86,21 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Generate seeded profiles, solve each with every function, run the
     requested checks, and return the rows in instance order."""
     rng = random.Random(config.seed)
+    shape = config.agents, config.goods, config.max_utility, config.min_utility, config.require_positive_rows
     rows = []
     for index in range(config.count):
-        profile = random_profile(
-            rng,
-            config.agents,
-            config.goods,
-            config.max_utility,
-            config.min_utility,
-            config.require_positive_rows,
-        )
+        profile = random_profile(rng, *shape)
         for f in config.functions:
             result = solve(profile, f, budget=config.budget)
-            row = {
-                "index": index,
-                "function": str(f),
-                "ef1": "",
-                "ef": "",
-                "po": "",
-                "welfare": format_welfare(result.welfare),
+            verdicts = {
+                "ef1": lambda: is_ef1(profile, result.allocation).holds,
+                "ef": lambda: is_ef(profile, result.allocation).holds,
+                "po": lambda: is_pareto_optimal(profile, result.allocation, budget=config.budget).optimal,
             }
-            if "ef1" in config.checks:
-                row["ef1"] = _flag(is_ef1(profile, result.allocation).holds)
-            if "ef" in config.checks:
-                row["ef"] = _flag(is_ef(profile, result.allocation).holds)
-            if "po" in config.checks:
-                row["po"] = _flag(
-                    is_pareto_optimal(
-                        profile, result.allocation, budget=config.budget
-                    ).optimal
-                )
-            rows.append(row)
+            flags = {check: ("true" if verdict() else "false") if check in config.checks else ""
+                     for check, verdict in verdicts.items()}
+            rows.append({"index": index, "function": str(f), **flags, "welfare": format_welfare(result.welfare)})
     return rows
-
-
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def experiment_csv(rows: list[dict]) -> str:

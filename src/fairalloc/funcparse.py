@@ -507,8 +507,8 @@ def _positive_grid(grid):
     return points
 
 
-def _last_rung(expr):
-    """The ladder's last rung for ``expr``: 80 digits, or twice the digits of its largest exact constant and 20."""
+def _constant_bits(expr):
+    """The most bits of a numerator or denominator of ``expr``'s exact constants."""
     bits, nodes = 0, [expr]
     while nodes:
         node = nodes.pop()
@@ -516,16 +516,17 @@ def _last_rung(expr):
         if form is not None and form[1] is None and form[2] is not None:
             bits = max(bits, form[2].numerator.bit_length(), form[2].denominator.bit_length())
         nodes += [child for child in vars(node).values() if isinstance(child, (Num, Var, Neg, Call, BinOp))]
-    return max(_DIGITS[-1], 2 * math.ceil(bits * math.log10(2)) + 20)
+    return bits
 
 
 class _Ladder:
     """Certified comparisons of sums of ``f = expr`` at rationals ``x >= 0``, from enclosures refined over
-    ``rungs``, :data:`_DIGITS` with a last rung from :func:`_last_rung`.  ``enclose(x, digits)`` memoizes the
-    enclosures for the last :data:`_LADDER_CAP` keys, for every caller that compares or encloses ``f``."""
+    ``rungs``, :data:`_DIGITS` with the tree's :meth:`last_rung`, raised in each comparison to split its points.
+    ``enclose(x, digits)`` memoizes the enclosures for the last :data:`_LADDER_CAP` keys, for every caller."""
 
     def __init__(self, expr):
-        self.rungs = (*_DIGITS[:-1], _last_rung(expr))
+        self.bits = _constant_bits(expr)
+        self.rungs = (*_DIGITS[:-1], self.last_rung())
         self.enclose = lru_cache(_LADDER_CAP)(lambda x, digits: enclose_expression(expr, x, digits))
 
     def sign(self, plus, minus=()):
@@ -534,7 +535,8 @@ class _Ladder:
         tie exactly and no enclosure is made for them."""
         plus, minus = Counter(plus), Counter(minus)
         plus, minus = plus - minus, minus - plus
-        for digits in self.rungs:
+        for digits in (*self.rungs[:-1], None):
+            digits = digits or self.last_rung([*plus, *minus])  # fit to the points, once the coarser rungs fail
             ups, downs = ([self.enclose(x, digits) for x in side.elements()] for side in (plus, minus))
             lo = sum(a for a, _ in ups) - sum(b for _, b in downs)
             hi = sum(b for _, b in ups) - sum(a for a, _ in downs)
@@ -543,3 +545,8 @@ class _Ladder:
             if lo == hi:  # both 0: exactly equal
                 return 0
         return None
+
+    def last_rung(self, points=()):
+        """The last of :data:`_DIGITS`, or twice the most digits of the tree's constants and ``points``, and 20."""
+        bits = max([self.bits, *(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in points)])
+        return max(_DIGITS[-1], 2 * math.ceil(bits * math.log10(2)) + 20)

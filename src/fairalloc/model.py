@@ -11,12 +11,13 @@ Every exhaustive scan in the package runs on one private kernel here: the
 assignments of a prefix of the goods are walked in lexicographic order with
 incrementally updated integer bundle totals, and each prefix brings a
 precomputed block of every assignment of the last goods, evaluated a column
-at a time; a scan memoizes an agent's column by its prefix total, up to a cap.
-The Pareto check walks the prefixes one by one, as it may prune them and its
-first dominator may lie off any frontier.  The welfare ranking walks them
-grouped by their totals, each group once, and only the Pareto frontier of the
-groups and of the block entries: every rule it ranks rises, so its maximizers
-are Pareto optimal.
+at a time.  The Pareto check walks the prefixes one by one, as it may prune
+them and its first dominator may lie off any frontier.  The welfare ranking
+walks them grouped by their totals, each group once, and only the Pareto
+frontier of the groups and of the block entries: every rule it ranks rises,
+so its maximizers are Pareto optimal.  That walk is built once per profile
+and block size and kept on the profile (:func:`_frontier`); only the memo of
+an agent's column by its prefix total, up to a cap, is made per scan.
 """
 
 import json
@@ -70,9 +71,7 @@ def _to_utility(value, agent, good):
         return Fraction(value)
     utility = _rational(value, f"utility for agent {agent}, good {good}")
     if utility < 0:
-        raise ValueError(
-            f"negative utility for agent {agent}, good {good}: {value!r}"
-        )
+        raise ValueError(f"negative utility for agent {agent}, good {good}: {value!r}")
     return utility
 
 
@@ -98,9 +97,7 @@ class Profile:
         width = len(rows[0])
         for i, row in enumerate(rows):
             if len(row) != width:
-                raise ValueError(
-                    f"agent {i} has {len(row)} utilities, expected {width}"
-                )
+                raise ValueError(f"agent {i} has {len(row)} utilities, expected {width}")
         object.__setattr__(self, "utilities", rows)
 
     @property
@@ -158,15 +155,11 @@ class Allocation:
 def check_allocation(profile: Profile, allocation: Allocation) -> None:
     """Raise :class:`AllocationMismatchError` unless the allocation fits the profile."""
     if allocation.m != profile.m:
-        raise AllocationMismatchError(
-            f"allocation assigns {allocation.m} goods, profile has {profile.m}"
-        )
+        raise AllocationMismatchError(f"allocation assigns {allocation.m} goods, profile has {profile.m}")
     for good, agent in enumerate(allocation.assignment):
         if agent >= profile.n:
             raise AllocationMismatchError(
-                f"good {good} assigned to agent {agent}, "
-                f"but the profile has only {profile.n} agents"
-            )
+                f"good {good} assigned to agent {agent}, but the profile has only {profile.n} agents")
 
 
 def _totals(profile: Profile, allocation: Allocation) -> list[int]:
@@ -279,7 +272,7 @@ def _groups(rows):
     groups = {}
     for prefix, totals in prefixes:
         groups.setdefault(tuple(totals), []).append(tuple(prefix))
-    walk = _suffix_table(n, s)[2], gathers, bundles, zip(groups.values(), groups)
+    walk = _suffix_table(n, s)[2], gathers, bundles, list(zip(groups.values(), groups))
     if m - s <= 2:  # on at most n**2 prefixes, filtering costs as much as a few whole blocks
         return walk
     entries = {}
@@ -294,6 +287,16 @@ def _groups(rows):
         return suffixes, [tuple] * n, list(zip(*top)), kept
     indices = [gather(range(2**s)) for gather in gathers]  # per agent, its subset of the suffix in each entry
     return suffixes, [itemgetter(*[index[entries[v][0]] for v in top]) for index in indices], bundles, kept
+
+
+def _frontier(profile: Profile, budget: int):
+    """:func:`_groups` of the profile's rows once the budget is checked, kept on the profile for the :data:`_BLOCK`
+    it was last built at (no part of equality, hash, repr or pickling), so that every ranking of it reads one walk."""
+    rows, _ = _scaled_rows(profile, budget)
+    kept = vars(profile).get("_walk")
+    if kept is None or kept[0] != _BLOCK:
+        kept = vars(profile)["_walk"] = _BLOCK, _groups(rows)
+    return kept[1]
 
 
 def _maxima(points):
@@ -365,14 +368,17 @@ def _memo(build, rows, suffixes):
 # ---------------------------------------------------------------------------
 
 
+def _parsed(text: str, error):
+    """``json.loads(text)``; invalid JSON raises ``error`` naming its line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 def loads_profile(text: str) -> Profile:
     """Parse profile JSON text, preserving rationals exactly."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProfileFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = _parsed(text, ProfileFormatError)
     if not isinstance(data, dict):
         raise ProfileFormatError("profile must be a JSON object")
     missing = {"agents", "goods", "utilities"} - data.keys()
@@ -386,9 +392,7 @@ def loads_profile(text: str) -> Profile:
     if not isinstance(matrix, list):
         raise ProfileFormatError("\"utilities\" must be a list of rows")
     if len(matrix) != agents:
-        raise ProfileFormatError(
-            f"\"agents\" is {agents} but \"utilities\" has {len(matrix)} rows"
-        )
+        raise ProfileFormatError(f"\"agents\" is {agents} but \"utilities\" has {len(matrix)} rows")
     for i, row in enumerate(matrix):
         if not isinstance(row, list):
             raise ProfileFormatError(f"utilities row for agent {i} must be a list")
@@ -430,12 +434,7 @@ def dumps_profile(profile: Profile) -> str:
 
 def loads_allocation(text: str) -> Allocation:
     """Parse allocation JSON text."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AllocationFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = _parsed(text, AllocationFormatError)
     if not isinstance(data, dict) or "assignment" not in data:
         raise AllocationFormatError('allocation must be an object with an "assignment" list')
     assignment = data["assignment"]

@@ -14,11 +14,12 @@ parameters, numbers or a spec's strings, as exact rationals.
 
 Both rankings that are not closed form share one scan over the Pareto frontier
 of the kernel of :mod:`fairalloc.model`, grouped by prefix totals, one block of
-the last goods per group.  The Nash product's integer keys are exact; a rising
-``f`` is scanned by the floats nearest its terms' enclosures, within a band as
-wide as their error, whose totals its :class:`~fairalloc.funcparse._Ladder` then
-orders.  A scan memoizes columns by prefix total, up to a cap; ``f`` keeps its
-keys per total and its enclosures across calls.
+the last goods per group, a walk the profile keeps per block size.  The Nash
+product's integer keys are exact; a rising ``f`` is scanned by the floats
+nearest its terms' enclosures, within a band as wide as their error, whose
+totals its :class:`~fairalloc.funcparse._Ladder` then orders.  Only the memo of
+columns by prefix total, up to a cap, is per scan; ``f`` keeps its keys per
+total and its enclosures across calls.
 """
 
 import logging
@@ -49,7 +50,7 @@ from .model import (
     Allocation,
     Profile,
     _assignments,
-    _groups,
+    _frontier,
     _memo,
     _rational,
     _scaled_rows,
@@ -87,10 +88,11 @@ def _exact(f, what):
 
 class WelfareFunction:
     """An increasing function from [0, inf) into [-inf, inf), defined once by its tree ``ast`` with exact
-    parameters.  ``value`` evaluates the tree in floats, ``-inf`` only at 0, compiled once per instance, as are
-    the tree's proofs and its one :class:`~fairalloc.funcparse._Ladder`, by which the solvers and the search
-    compare it (no part of equality, hash, repr or pickling).  The solvers refuse a tree neither recognised nor
-    proved rising, and a subclass with no tree.  Instances are immutable and safe to share."""
+    parameters.  ``value`` evaluates the tree in floats, ``-inf`` only at 0 where the ladder cannot enclose f(0),
+    compiled once per instance, as are the tree's proofs and its one :class:`~fairalloc.funcparse._Ladder`, by
+    which the solvers and the search compare it (no part of equality, hash, repr or pickling).  The solvers refuse
+    a tree neither recognised nor proved rising, and a subclass with no tree.  Instances are immutable and safe to
+    share."""
 
     def value(self, x) -> float:
         if x < 0:
@@ -104,13 +106,26 @@ class WelfareFunction:
             if isinstance(exc.__cause__, OverflowError):
                 raise InvalidWelfareFunctionError(f"{self} overflowed at a {_sized(x)}") from None
             raise InvalidWelfareFunctionError(f"{self} failed at a {_sized(x)}: {exc}") from None
-        if NEG_INF < result < math.inf or result == NEG_INF and x == 0:
+        if NEG_INF < result < math.inf:
             return result
+        if result == NEG_INF and x == 0:
+            return self._zero
         raise InvalidWelfareFunctionError(f"{self} evaluated to {result} at a {_sized(x)}")
 
     @cached_property
     def _compiled(self):
         return compile_expression(self.ast())
+
+    @cached_property
+    def _zero(self):
+        """``f(0)`` where the float tree gives ``-inf``: ``-inf`` only if the ladder cannot enclose it, else the float
+        of the midpoint of its last-rung enclosure (a constant that floats lose, as in ``ln(x+10^-400)``)."""
+        try:
+            return float(sum(self._ladder.enclose(Fraction(0), self._ladder.rungs[-1])) / 2)
+        except ExpressionEvalError:
+            return NEG_INF
+        except OverflowError:
+            raise InvalidWelfareFunctionError(f"{self} overflowed at a utility 0") from None
 
     @cached_property
     def _form(self):
@@ -137,7 +152,7 @@ class WelfareFunction:
         raise InvalidWelfareFunctionError(f"{self} is not proved increasing by funcparse.increasing")
 
     def __getstate__(self):
-        cached = ("_compiled", "_form", "_increasing", "_ladder", "_keys")
+        cached = ("_compiled", "_zero", "_form", "_increasing", "_ladder", "_keys")
         return {name: item for name, item in vars(self).items() if name not in cached}
 
     def ast(self) -> Expression:
@@ -240,9 +255,7 @@ def welfare_function_from_spec(spec: str) -> WelfareFunction:
     name = name.strip().lower()
     if name == "expr":
         if not sep or not args.strip():
-            raise InvalidWelfareFunctionError(
-                "expr needs a body, e.g. expr:3*ln(x)+2"
-            )
+            raise InvalidWelfareFunctionError("expr needs a body, e.g. expr:3*ln(x)+2")
         return CustomExpression.from_text(args)
     kind = {"log": LogAffine, "affine": Affine, "power": Power, "exp": Exp}.get(name)
     if kind is None:
@@ -379,13 +392,13 @@ class _TieTracker:
                 self.members.append(((primary, secondaries[k]), prefixes, suffixes[k]))
 
 
-def _scan_blocks(rows, tracker, terms, excluded, neutral, combine):
-    """Offer every allocation of the kernel's grouped frontier walk to ``tracker`` under the key ``(-e, the
-    others' terms combined in agent order)``, ``e`` the number of agents whose term is ``excluded``.
-    ``terms`` maps an agent's totals, one per bundle of the last goods, to their terms, which are gathered into a
-    column per block.  The scan's :func:`_memo` keeps an agent's column and excluded terms'
+def _scan_blocks(rows, walk, tracker, terms, excluded, neutral, combine):
+    """Offer every allocation of ``walk``, the profile's kept frontier walk of ``rows`` (:func:`~model._frontier`), to
+    ``tracker`` under the key ``(-e, the others' terms combined in agent order)``, ``e`` the number of agents whose
+    term is ``excluded``.  ``terms`` maps an agent's totals, one per bundle of the last goods, to their terms, which
+    are gathered into a column per block.  The scan's own :func:`_memo` keeps an agent's column and excluded terms'
     flags by prefix total, and a block's fewest-excluded entries by its flagged ``(agent, total)`` pairs."""
-    suffixes, gathers, bundles, prefixes = _groups(rows)
+    suffixes, gathers, bundles, prefixes = walk
 
     def build(agent, total):
         gather, column = gathers[agent], terms([total + value for value in bundles[agent]])
@@ -433,9 +446,10 @@ def _certified(profile, f, terms, members):
         elif not sign:
             top.append(vector)
             uncertified |= sign is None
-    if uncertified:
-        logger.info("%s: welfare ties that %d digits cannot split counted as ties, uncertified: totals %s",
-                    f, f._ladder.rungs[-1], top)
+    if uncertified:  # the totals' sizes, not their digits: those may run to hundreds
+        bits, last = max(t.bit_length() for v in top for t in v), f._ladder.last_rung(p for v in top for p in points[v])
+        logger.info("%s: %d welfare ties that %d digits cannot split counted as ties, uncertified: totals of at most "
+                    "%d digits", f, len(top), last, math.ceil(bits * math.log10(2)))
     return [member for vector in top for member in vectors[vector]]
 
 
@@ -454,14 +468,15 @@ def _scan_welfare(profile, f, budget, keep_members=False):
         assignment, count = tuple(agents[0] for agents in winners), math.prod(map(len, winners))
         members = list(product(*winners)) if keep_members else None
     else:
+        walk = _frontier(profile, budget)
         if kind == "ln":
-            _scan_blocks(rows, tracker := _TieTracker(lambda: 0), terms=list, excluded=0, neutral=1, combine=mul)
+            _scan_blocks(rows, walk, tracker := _TieTracker(lambda: 0), terms=list, excluded=0, neutral=1, combine=mul)
             top = tracker.members
         else:
             terms = _Terms(f, scale)
             tracker = _TieTracker(partial(terms.width, profile.n))
             try:
-                _scan_blocks(rows, tracker, terms=terms.keys, excluded=NEG_INF, neutral=0.0, combine=add)
+                _scan_blocks(rows, walk, tracker, terms=terms.keys, excluded=NEG_INF, neutral=0.0, combine=add)
             except InvalidWelfareFunctionError:  # raise what a walk in lexicographic order meets first
                 for _, totals in _assignments(rows):
                     terms.keys(totals)

@@ -726,12 +726,41 @@ class TestCertifiedOrder:
         assert outcome(lambda: block_welfare(profile, f)) == expected
 
     def test_a_tie_the_last_rung_cannot_split_is_counted_and_logged_once(self, caplog):
-        profile = Profile([[4, 5], [0, 1]])  # sqrt(9) + sqrt(0) = sqrt(4) + sqrt(1): enclosures never split
+        for scale, digits in ((1, 2), (10**100, 102)):  # sqrt(9) + sqrt(0) = sqrt(4) + sqrt(1): enclosures never split
+            profile = Profile([[4 * scale, 5 * scale], [0, scale]])
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="fairalloc.welfarist"):
+                result, members = welfare_maximizers(profile, CERTIFIED[1])
+            expected = oracles.exact_maximizers(profile, CERTIFIED[1].ast())
+            assert [a.assignment for a in members] == expected == [(0, 0), (0, 1)]
+            (record,) = caplog.records
+            assert "uncertified" in record.getMessage() and f"totals of at most {digits} digits" in record.getMessage()
+            assert str(9 * scale) not in record.getMessage()  # the totals' sizes, not their digits
+
+    def test_points_finer_than_the_trees_last_rung_are_split(self, caplog):
+        # the tree of power:1/2 gives an 80-digit last rung; sqrt(1 + 10^-100) - 1 needs the points' own digits
+        f, profile = CERTIFIED[1], Profile([[1, 1], [1, 1 + Fraction(1, 10**100)]])
         with caplog.at_level(logging.INFO, logger="fairalloc.welfarist"):
-            result, members = welfare_maximizers(profile, CERTIFIED[1])
-        assert [a.assignment for a in members] == oracles.exact_maximizers(profile, CERTIFIED[1].ast()) == [(0, 0), (0, 1)]
-        (record,) = caplog.records
-        assert "uncertified" in record.getMessage()
+            result, members = welfare_maximizers(profile, f)
+        assert [a.assignment for a in members] == oracles.exact_maximizers(profile, f.ast(), digits=300) == [(0, 1)]
+        assert result.maximizer_set_size == 1 and not caplog.records
+        assert f._ladder.last_rung([Fraction(1, 10**100)]) > f._ladder.rungs[-1] == 80
+
+    def test_a_term_at_0_that_floats_lose_is_finite(self):
+        # 10^-400 is 0.0 in floats, so the float tree gives -inf at 0; f(0) = ln(10^-400) is about -921.03
+        f = welfare_function_from_spec("expr:ln(x+10^-400)")
+        profile = Profile([[10**60, 0, 0], [10**307, 10**60, 0], [0, 10**307, 10**60]])
+        result, members = welfare_maximizers(profile, f)
+        # (1, 2, 2) beats (1, 2, 0) and (1, 2, 1) by about 10^-247: ties at the oracle's default 150 digits
+        assert oracles.exact_maximizers(profile, f.ast()) == [(1, 2, 0), (1, 2, 1), (1, 2, 2)]
+        assert [a.assignment for a in members] == oracles.exact_maximizers(profile, f.ast(), digits=1000) == [(1, 2, 2)]
+        assert result.welfare == allocation_welfare(profile, result.allocation, f)
+        assert result.welfare.neg_inf_count == 0
+        assert f.value(0) == f.value(Fraction(0)) == pytest.approx(-400 * math.log(10), rel=2**-52)
+        for spec in ("log", "expr:ln(x)", "expr:ln(x)+x/10^12"):  # no enclosure of f(0): -inf stands
+            assert welfare_function_from_spec(spec).value(0) == -math.inf
+        with pytest.raises(InvalidWelfareFunctionError, match="overflowed at a utility 0"):
+            welfare_function_from_spec("expr:ln(x+10^-400)*10^307").value(0)
 
     def test_a_term_below_every_decimal_is_enclosed(self):
         # 10^-1001000 is 0.0 in floats and below decimal's exponents: its enclosure is [0, 10^-1000010]
@@ -746,6 +775,53 @@ class TestCertifiedOrder:
         profile = Profile([[2**52, 2], [2**52, 1]])
         result, members = welfare_maximizers(profile, f)
         assert [a.assignment for a in members] == oracles.exact_maximizers(profile, f.ast())
+
+
+class TestKeptWalk:
+    """A profile keeps the kernel's grouped frontier walk for the block size it was last ranked at, built once the
+    budget is checked, so that every ranking of one profile reads one walk."""
+
+    RULES = (LogAffine(), Power(Fraction(1, 2)), Power(2), CustomExpression.from_text("ln(x+1)"), Exp())
+
+    @given(st.sampled_from((HUGE_ENTRIES, RATIONAL_ENTRIES)).flatmap(walked_profiles))
+    @example(LATER_PAIR)
+    @settings(max_examples=20, deadline=None)
+    def test_later_scans_build_no_walk_and_answer_as_a_fresh_profile(self, profile):
+        expected = [outcome(lambda: every_entry_point(Profile(profile.utilities), f)) for f in self.RULES]
+        solve(profile, LogAffine())
+        with mock.patch.object(model, "_blocks", side_effect=AssertionError("a second walk of one profile")):
+            assert [outcome(lambda: every_entry_point(profile, f)) for f in self.RULES] == expected
+
+    def test_a_walk_is_not_reused_under_another_block_size(self):
+        profile, rows = Profile(LATER_PAIR.utilities), _scaled_rows(LATER_PAIR, budget=10**7)[0]
+        expected = welfare_maximizers(LATER_PAIR, Power(2))
+        for size in (256, 2, 1, 256):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert welfare_maximizers(profile, Power(2)) == expected
+                suffixes, _, _, groups = model._frontier(profile, 10**7)
+                fresh, length = model._groups(rows), model._suffix_length(2, 11)
+            assert {len(q) for qs in suffixes for q in qs} == {length}  # 8 goods at 256, 1 at 2, none at 1
+            assert (suffixes, groups) == (fresh[0], fresh[3])
+
+    def test_a_kept_walk_is_no_part_of_equality_hash_repr_or_pickling(self):
+        profile, twin = Profile(LATER_PAIR.utilities), Profile(LATER_PAIR.utilities)
+        seen = hash(profile), repr(profile)
+        solve(profile, Power(2))
+        assert "_walk" in vars(profile) and "_walk" not in vars(twin)
+        assert profile == twin and (hash(profile), repr(profile)) == seen == (hash(twin), repr(twin))
+        restored = pickle.loads(pickle.dumps(profile))
+        assert restored == profile and "_walk" not in vars(restored)
+
+    def test_the_budget_is_checked_before_the_kept_walk_is_read(self):
+        profile = Profile(LATER_PAIR.utilities)
+        for f in self.RULES:
+            solve(profile, f)
+            for call in (solve, maximize_welfare, welfare_maximizers):
+                with pytest.raises(EnumerationBudgetError):
+                    call(profile, f, budget=1)
+        with pytest.raises(EnumerationBudgetError):
+            model._frontier(profile, 2**11 - 1)
+        assert model._frontier(profile, 2**11) is model._frontier(profile, 10**7)
 
 
 def every_scan(profile, allocation):
