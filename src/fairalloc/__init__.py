@@ -46,11 +46,7 @@ from .fairness import (
     is_ef1,
     is_pareto_optimal,
 )
-from .funcparse import (
-    Expression,
-    evaluate_expression,
-    parse_expression,
-)
+from .funcparse import Expression, parse_expression
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
     Allocation,

@@ -14,7 +14,8 @@ of ``f``'s one :class:`~fairalloc.funcparse._Ladder`, whose enclosures the
 verification of a candidate shares; a tie means equal to the ladder's last rung.
 A tree recognised as ``a*ln(x) + c`` needs none: its ``d_k`` is the same at
 every point, so it ties every comparison and the search compares nothing.
-Float samples are only shown.
+The float samples and the fit are shown only: each is ``f.value``, the float
+nearest the midpoint of an enclosure from the same ladder.
 """
 
 import logging
@@ -25,7 +26,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .fairness import Ef1Verdict, is_ef1
-from .funcparse import _positive_grid
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile, _rational
 from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
 
@@ -36,6 +36,16 @@ DEFAULT_SEARCH_GRID = tuple(Fraction(i, 2) for i in range(1, 11))
 
 #: Default grid for constancy reports and the log fit.
 DEFAULT_CONSTANCY_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
+
+
+def _positive_grid(grid):
+    """``grid``'s points, read as rationals into a tuple, refused unless non-empty and positive."""
+    points = tuple(_rational(point, "grid point") for point in grid)
+    if not points:
+        raise ValueError("the grid must not be empty")
+    if any(p <= 0 for p in points):
+        raise ValueError("the grid must contain only positive values")
+    return points
 
 
 def scaled_difference(f: WelfareFunction, k: int, x) -> float:

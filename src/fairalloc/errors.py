@@ -38,8 +38,9 @@ class ExpressionSyntaxError(ExpressionError):
 
 
 class ExpressionEvalError(ExpressionError):
-    """Evaluation left the supported numeric domain (NaN, +inf, division by zero, ...)."""
+    """An enclosure left the supported domain: ``ln`` or ``sqrt`` of a value that may be at or below 0, division
+    by an interval holding 0, or a ``decimal`` result beyond its exponents."""
 
 
 class InvalidWelfareFunctionError(ValueError):
-    """A welfare function is malformed, not proved increasing, or produced NaN / +inf."""
+    """A welfare function is malformed, not proved increasing, or fails or overflows float range at a utility."""

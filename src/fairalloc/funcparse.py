@@ -10,9 +10,8 @@ Grammar, loosest binding first::
     power  := atom ['^' unary]          right-associative
     atom   := NUMBER | 'x' | NAME '(' expr ')' | '(' expr ')'
 
-Literals are exact ``Fraction``s in the tree, which two evaluators read: the
-float function of :func:`compile_expression` (IEEE, ``ln(0) = -inf``; a NaN or
-``+inf`` result is an error), and :func:`enclose_expression`, rational bounds.
+Literals are exact ``Fraction``s in the tree, which one evaluator reads:
+:func:`enclose_expression`, rational bounds at a number of significant digits.
 
 Two sound, incomplete proofs read a tree unevaluated: :func:`linear_form` and
 :func:`increasing`.  Every other verdict on its values, an order of two sums of
@@ -29,8 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import ExpressionEvalError, ExpressionSyntaxError, InvalidWelfareFunctionError
-from .model import _rational
+from .errors import ExpressionEvalError, ExpressionSyntaxError
 
 
 @dataclass(frozen=True)
@@ -177,104 +175,6 @@ def parse_expression(text: str) -> Expression:
     return node
 
 
-def _ln(value):
-    if value == 0:
-        return -math.inf
-    if value < 0:
-        raise ExpressionEvalError(f"ln of a negative value ({value!r})")
-    return math.log(value)
-
-
-def _exp(value):
-    try:
-        return math.exp(value)
-    except OverflowError as exc:
-        raise ExpressionEvalError(f"exp overflow at argument {value!r}") from exc
-
-
-def _sqrt(value):
-    if value < 0:
-        raise ExpressionEvalError(f"sqrt of a negative value ({value!r})")
-    return math.sqrt(value)
-
-
-def _divide(numerator, denominator):
-    try:
-        return numerator / denominator
-    except ZeroDivisionError:
-        raise ExpressionEvalError("division by zero") from None
-
-
-def _pow(base, exponent):
-    try:
-        return math.pow(base, exponent)
-    except ValueError:
-        raise ExpressionEvalError(f"invalid power: base {base!r}, exponent {exponent!r}") from None
-    except OverflowError as exc:
-        raise ExpressionEvalError(f"power overflow: base {base!r}, exponent {exponent!r}") from exc
-
-
-_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})", "^": "_pow({}, {})"}
-
-
-@lru_cache(maxsize=64)
-def compile_expression(expr: Expression):
-    """``expr`` as a function of a float ``x``: generated source, one statement per
-    operation in evaluation order, naming only ``x``, temporaries, the helpers
-    above and the literals' float values.  Raises :class:`ExpressionEvalError`
-    outside the domain (chained to the ``OverflowError`` of ``exp`` or a power),
-    and :class:`InvalidWelfareFunctionError` for a literal beyond float range."""
-    namespace = {"_ln": _ln, "_exp": _exp, "_sqrt": _sqrt, "_divide": _divide, "_pow": _pow}
-    lines = []
-
-    def emit(node):
-        """The name holding ``node``'s value, after the statements computing it."""
-        if isinstance(node, Num):
-            name = f"c{len(namespace)}"
-            try:
-                namespace[name] = float(node.value)
-            except OverflowError:  # name its size, not its digits: they may run to thousands
-                digits = len(str(math.trunc(node.value)))
-                raise InvalidWelfareFunctionError(f"literal with {digits} digits is too large for float") from None
-            return name
-        if isinstance(node, Var):
-            return "x"
-        if isinstance(node, Neg):
-            code = f"-{emit(node.operand)}"
-        elif isinstance(node, Call):
-            if node.name not in ("ln", "exp", "sqrt"):
-                raise ExpressionEvalError(f"unknown function {node.name!r}")
-            code = f"_{node.name}({emit(node.operand)})"
-        else:
-            code = _BINARY[node.op].format(emit(node.left), emit(node.right))
-        lines.append(f"    t{len(lines)} = {code}")
-        return f"t{len(lines) - 1}"
-
-    result = emit(expr)
-    exec("\n".join(["def function(x):", *lines, f"    return {result}"]), namespace)
-    return namespace["function"]
-
-
-def evaluate_expression(expr: Expression, x) -> float:
-    """Evaluate at ``x >= 0``.  Returns a float, possibly ``-inf``.
-
-    IEEE semantics inside the tree; a final result of NaN or ``+inf`` raises
-    :class:`ExpressionEvalError`.
-    """
-    try:
-        x = float(x)
-    except OverflowError:
-        raise ExpressionEvalError("argument is too large for float arithmetic") from None
-    if x < 0:
-        raise ExpressionEvalError(f"expressions are evaluated on x >= 0, got {x!r}")
-    result = compile_expression(expr)(x)
-    if math.isnan(result):
-        raise ExpressionEvalError("expression evaluated to NaN")
-    if result == math.inf:
-        raise ExpressionEvalError("expression evaluated to +inf")
-    return result
-
-
 @lru_cache(maxsize=None)
 def _context(digits):
     return decimal.Context(prec=digits, traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
@@ -301,7 +201,7 @@ def _increasing(name, interval, digits):
                 reuse = results and end is lo  # an exact point: one evaluation
                 results.append(results[0] if reuse else getattr(ctx, name)(arg))
     except decimal.DecimalException as exc:
-        raise ExpressionEvalError(f"{name} out of range ({exc!r})") from None
+        raise ExpressionEvalError(f"{name} out of range ({exc!r})") from exc
     return tuple(
         Fraction(outward(result)) if result or name == "exp" and outward is outwards[1] else Fraction(0)
         for result, outward in zip(results, outwards)
@@ -489,22 +389,12 @@ def increasing(expr: Expression) -> bool:
     at least 0 at ``x = 0``; a rising part minus an exact constant, or times or over a positive one (exact, or free of
     ``x`` with a positive first-rung enclosure); ``exp`` of a rising part; or, of a rising part at least 0 at ``x = 0``,
     its ``sqrt``, its ``ln`` or its power to a positive constant, if no constant is taken away inside it.  Each rounds
-    monotonically and nothing cancels under ``ln``, ``sqrt`` or ``^``, so the floats fail only upwards, by overflow,
-    short of an argument of ``ln`` that underflows to 0 (``ln(x^3)+x`` at ``x = 10^-110``, say)."""
+    monotonically and nothing cancels under ``ln``, ``sqrt`` or ``^``, so the floats of its enclosures fail only
+    upwards, by overflow, short of an argument of ``ln`` below every decimal."""
     try:
         return _rise(expr) is not None
     except RecursionError:  # deeper than the walk can go: not proved
         return False
-
-
-def _positive_grid(grid):
-    """``grid``'s points, read as rationals into a tuple, refused unless non-empty and positive."""
-    points = tuple(_rational(point, "grid point") for point in grid)
-    if not points:
-        raise ValueError("the grid must not be empty")
-    if any(p <= 0 for p in points):
-        raise ValueError("the grid must contain only positive values")
-    return points
 
 
 def _constant_bits(expr):
@@ -532,12 +422,17 @@ class _Ladder:
     def sign(self, plus, minus=()):
         """The sign of ``sum(f(p) for p in plus) - sum(f(q) for q in minus)``: 1 or -1, 0 for an exact tie, and
         ``None`` where the last rung cannot split them.  A point on both sides cancels first, so permuted sums
-        tie exactly and no enclosure is made for them."""
+        tie exactly and no enclosure is made for them.  Only the last rung's domain errors raise."""
         plus, minus = Counter(plus), Counter(minus)
         plus, minus = plus - minus, minus - plus
-        for digits in (*self.rungs[:-1], None):
-            digits = digits or self.last_rung([*plus, *minus])  # fit to the points, once the coarser rungs fail
-            ups, downs = ([self.enclose(x, digits) for x in side.elements()] for side in (plus, minus))
+        for rung in (*self.rungs[:-1], None):
+            digits = rung or self.last_rung([*plus, *minus])  # fit to the points, once the coarser rungs fail
+            try:
+                ups, downs = ([self.enclose(x, digits) for x in side.elements()] for side in (plus, minus))
+            except ExpressionEvalError:  # a coarser rung may round an argument out of its domain: refine
+                if rung is None:
+                    raise
+                continue
             lo = sum(a for a, _ in ups) - sum(b for _, b in downs)
             hi = sum(b for _, b in ups) - sum(a for a, _ in downs)
             if lo > 0 or hi < 0:

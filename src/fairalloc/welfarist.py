@@ -1,8 +1,8 @@
 """Welfare functions, extended-real welfare, and exact welfare maximization.
 
 An additive welfarist rule applies an increasing function ``f``, defined by
-its exact expression tree that ``value`` compiles to floats, to each agent's
-bundle utility and picks an allocation maximizing the sum.  Every entry point
+its exact expression tree, whose enclosures ``value`` reads as floats, to each
+agent's bundle utility and picks an allocation maximizing the sum.  Every entry point
 ranks an ``f`` whose tree :func:`~fairalloc.funcparse.linear_form` recognises as
 ``a*ln(x) + c`` (maximum Nash welfare) by exact rational products, and one it
 recognises as ``a*x + c`` (utilitarian welfare) in closed form, by giving each good
@@ -22,16 +22,17 @@ columns by prefix total, up to a cap, is per scan; ``f`` keeps its keys per
 total and its enclosures across calls.
 """
 
+import decimal
 import logging
 import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, product, repeat
 from operator import add, le, mul
 
-from .errors import ExpressionEvalError, InvalidWelfareFunctionError
+from .errors import InvalidWelfareFunctionError
 from .funcparse import (
     BinOp,
     Call,
@@ -40,7 +41,7 @@ from .funcparse import (
     Var,
     _LADDER_CAP,
     _Ladder,
-    compile_expression,
+    _rise,
     increasing,
     linear_form,
     parse_expression,
@@ -88,44 +89,44 @@ def _exact(f, what):
 
 class WelfareFunction:
     """An increasing function from [0, inf) into [-inf, inf), defined once by its tree ``ast`` with exact
-    parameters.  ``value`` evaluates the tree in floats, ``-inf`` only at 0 where the ladder cannot enclose f(0),
-    compiled once per instance, as are the tree's proofs and its one :class:`~fairalloc.funcparse._Ladder`, by
-    which the solvers and the search compare it (no part of equality, hash, repr or pickling).  The solvers refuse
-    a tree neither recognised nor proved rising, and a subclass with no tree.  Instances are immutable and safe to
-    share."""
+    parameters and read only from the tree's one :class:`~fairalloc.funcparse._Ladder` of enclosures, by which the
+    solvers and the search compare it.  ``value`` is the float nearest the midpoint of an enclosure, memoized per
+    instance, as are the tree's proofs and its ladder (no part of equality, hash, repr or pickling).  The solvers
+    refuse a tree neither recognised nor proved rising, and a subclass with no tree.  Instances are immutable and safe
+    to share."""
 
     def value(self, x) -> float:
+        """The float nearest the midpoint of ``f(x)``'s enclosure at the ladder's last rung for ``x``, ``-inf`` only
+        at 0 (see :meth:`_read`)."""
         if x < 0:
             raise ValueError(f"welfare functions are defined on x >= 0, got {x!r}")
-        compiled = self._compiled
+        return self._values(x)
+
+    @cached_property
+    def _values(self):
+        """:meth:`value` for the last :data:`~fairalloc.funcparse._LADDER_CAP` points."""
+        return lru_cache(_LADDER_CAP)(lambda x: self._read(x)[0])
+
+    def _read(self, x, digits=None):
+        """The float nearest the midpoint of ``f(x)``'s enclosure at ``digits`` (the last rung for ``x`` if None, or
+        where ``digits`` leaves the domain) and a bound on both its distance from ``f(x)`` and its magnitude times
+        2^-52.  ``(-inf, 0.0)`` at 0, where no enclosure exists and ``f`` is recognised as ``a*ln(x) + c`` or proved
+        rising from a lower bound of ``-inf``: an ``ln`` of exactly 0 that no ``exp`` takes back.  Any other failure
+        raises, naming ``x`` by its size."""
         try:
-            result = compiled(float(x))
-        except OverflowError:  # from float(x): the compiled tree raises ExpressionEvalError
-            raise InvalidWelfareFunctionError(f"{_sized(x)} is too large for float arithmetic") from None
-        except ExpressionEvalError as exc:
-            if isinstance(exc.__cause__, OverflowError):
+            x = Fraction(x)
+            lo, hi = self._ladder.enclose(x, digits or self._ladder.last_rung([x]))
+            middle = (lo + hi) / 2
+            key = float(middle)
+        except (ArithmeticError, ValueError) as exc:
+            if isinstance(exc, OverflowError) or isinstance(exc.__cause__, decimal.Overflow):
                 raise InvalidWelfareFunctionError(f"{self} overflowed at a {_sized(x)}") from None
+            if digits:  # a coarser rung may round an argument out of its domain: the last rung decides
+                return self._read(x)
+            if x == 0 and (self._form and self._form[0] == "ln" or self._increasing and _rise(self.ast()) == NEG_INF):
+                return NEG_INF, 0.0
             raise InvalidWelfareFunctionError(f"{self} failed at a {_sized(x)}: {exc}") from None
-        if NEG_INF < result < math.inf:
-            return result
-        if result == NEG_INF and x == 0:
-            return self._zero
-        raise InvalidWelfareFunctionError(f"{self} evaluated to {result} at a {_sized(x)}")
-
-    @cached_property
-    def _compiled(self):
-        return compile_expression(self.ast())
-
-    @cached_property
-    def _zero(self):
-        """``f(0)`` where the float tree gives ``-inf``: ``-inf`` only if the ladder cannot enclose it, else the float
-        of the midpoint of its last-rung enclosure (a constant that floats lose, as in ``ln(x+10^-400)``)."""
-        try:
-            return float(sum(self._ladder.enclose(Fraction(0), self._ladder.rungs[-1])) / 2)
-        except ExpressionEvalError:
-            return NEG_INF
-        except OverflowError:
-            raise InvalidWelfareFunctionError(f"{self} overflowed at a utility 0") from None
+        return key, max(math.nextafter(float(hi - middle + abs(Fraction(key) - middle)), math.inf), abs(key) * 2.0**-52)
 
     @cached_property
     def _form(self):
@@ -152,7 +153,7 @@ class WelfareFunction:
         raise InvalidWelfareFunctionError(f"{self} is not proved increasing by funcparse.increasing")
 
     def __getstate__(self):
-        cached = ("_compiled", "_zero", "_form", "_increasing", "_ladder", "_keys")
+        cached = ("_values", "_form", "_increasing", "_ladder", "_keys")
         return {name: item for name, item in vars(self).items() if name not in cached}
 
     def ast(self) -> Expression:
@@ -319,7 +320,7 @@ class SolveResult:
 
 class _Terms:
     """One scan's float keys of ``f(t / scale)`` for integer bundle totals ``t``: the float nearest the midpoint of
-    its first-rung enclosure by ``f``'s ladder, or ``-inf`` where ``f.value`` is (at 0 alone, for a rising ``f``).
+    its first-rung enclosure by ``f``'s ladder, or ``-inf`` at 0, as :meth:`WelfareFunction._read` gives them.
     ``bound`` is the most, over the totals this scan met, of how far a key lies from its term and of its magnitude
     times 2^-52.  Keys and bounds are kept across scans by :func:`_keys`, as enclosures are by the ladder."""
 
@@ -340,16 +341,7 @@ class _Terms:
     def entry(self, total):
         if total in self.bounds:
             return self.memo[total], self.bounds[total]
-        x = Fraction(total, self.scale)
-        key, bound = self.f.value(x), 0.0  # raises where the float tree does
-        if key != NEG_INF:
-            try:
-                lo, hi = self.f._ladder.enclose(x, self.f._ladder.rungs[0])
-            except ExpressionEvalError as exc:
-                raise InvalidWelfareFunctionError(f"{self.f} cannot be enclosed at a {_sized(x)}: {exc}") from None
-            middle = (lo + hi) / 2
-            key = float(middle)
-            bound = max(math.nextafter(float(hi - middle + abs(Fraction(key) - middle)), math.inf), abs(key) * 2.0**-52)
+        key, bound = self.f._read(Fraction(total, self.scale), self.f._ladder.rungs[0])
         if len(self.bounds) < _LADDER_CAP:
             self.memo[total], self.bounds[total] = key, bound
         return key, bound
@@ -525,6 +517,9 @@ def welfare_maximizers(
     return result, tuple(map(Allocation, members))
 
 
+_LN = LogAffine()  # one instance, so that every max_nash_welfare call shares its memos
+
+
 def max_nash_welfare(
     profile: Profile, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> SolveResult:
@@ -539,7 +534,7 @@ def max_nash_welfare(
     lexicographically smallest assignment, and ``maximizer_set_size`` counts the optima exactly.
     The reported welfare is the winner's under ``ln`` (zero utilities give -inf terms).
     """
-    return maximize_welfare(profile, LogAffine(), budget=budget)
+    return maximize_welfare(profile, _LN, budget=budget)
 
 
 def solve(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,13 +7,16 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
 import fairalloc
+import oracles
 from fairalloc.cli import main
 from fairalloc.model import dumps_allocation, dumps_profile, loads_profile
 from fairalloc.model import Allocation, Profile
+from fairalloc.welfarist import welfare_function_from_spec
 
 
 @pytest.fixture
@@ -63,24 +67,29 @@ class TestSolve:
         assert result.exit_code == 2
 
 
-    @pytest.mark.parametrize(
-        "spec", ["log", "log:2,1", "expr:x", "affine:1,0", "power:2", "exp"]
-    )
+    @pytest.mark.parametrize("spec", ["expr:x", "affine:1,0", "power:2", "exp"])
     def test_utility_beyond_float_range_exits_2(self, runner, tmp_path, spec):
         path = write_profile(tmp_path / "p.json", [[10**400, 1], [1, 2]])
         result = runner.invoke(main, ["solve", "--profile", path, "--f", spec])
         assert result.exit_code == 2
-        assert "error:" in result.stderr
+        assert "overflowed at a utility with 401 digits" in result.stderr
         assert len(result.stderr) < 200
 
     @pytest.mark.parametrize("spec", ["log", "log:2,1", "expr:ln(x)"])
-    def test_utility_below_float_range_exits_2(self, runner, tmp_path, spec):
-        # agent 0 must take good 0, so its positive utility 1/10^400 is evaluated
-        path = write_profile(tmp_path / "p.json", [[Fraction(1, 10**400), 0], [0, 1]])
-        result = runner.invoke(main, ["solve", "--profile", path, "--f", spec])
-        assert result.exit_code == 2
-        assert "-inf at a utility of at most 10^-400" in result.stderr
-        assert len(result.stderr) < 200
+    @pytest.mark.parametrize("rows", [[[10**400, 1], [1, 2]], [[Fraction(1, 10**400), 0], [0, 1]]])
+    def test_log_solves_utilities_beyond_float_range(self, runner, tmp_path, spec, rows):
+        # only the utilities are beyond float range: f at 10^400 or 10^-400 is a + b times about +-921.03
+        path = write_profile(tmp_path / "p.json", rows)
+        result = runner.invoke(main, ["solve", "--profile", path, "--f", spec, "--format", "json"])
+        assert result.exit_code == 0
+        payload, profile = json.loads(result.output), Profile(rows)
+        assignment, _, ties = oracles.best_nash(profile)
+        assert (tuple(payload["assignment"]), payload["maximizer_set_size"]) == (assignment, ties) == ((0, 1), 1)
+        tree = welfare_function_from_spec(spec).ast()
+        with mpmath.workdps(60):
+            welfare = mpmath.fsum(oracles.mp_value(tree, mpmath.mpf(u.numerator) / u.denominator)
+                                  for u in oracles.utilities_of(profile, assignment))
+        assert payload["welfare"] == {"neg_inf_count": 0, "finite_part": pytest.approx(float(welfare), rel=2**-52)}
 
     @pytest.mark.parametrize("spec", ["power:2", "exp"])
     def test_f_overflowing_float_range_names_the_utility_size(self, runner, tmp_path, spec):
@@ -89,13 +98,14 @@ class TestSolve:
         assert result.exit_code == 2
         assert "overflowed at a utility with 201 digits" in result.stderr
 
-    def test_expression_literal_beyond_float_range_exits_2(self, runner, tmp_path):
+    def test_expression_literal_beyond_float_range_is_accepted(self, runner, tmp_path):
+        # ln(10^400 x) = ln(x) + 400 ln(10): the Nash rule, whatever the literal's size
         path = write_profile(tmp_path / "p.json", [[1, 2], [2, 1]])
-        result = runner.invoke(main, ["solve", "--profile", path, "--f", f"expr:{10**400}*x"])
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-        assert "literal with 401 digits" in result.stderr
-        assert len(result.stderr) < 200
+        result = runner.invoke(main, ["solve", "--profile", path, "--f", f"expr:ln({10**400}*x)", "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert (payload["assignment"], payload["maximizer_set_size"]) == ([1, 0], 1)
+        assert payload["welfare"]["finite_part"] == pytest.approx(2 * (400 * math.log(10) + math.log(2)), rel=1e-15)
 
 
 class TestCheck:

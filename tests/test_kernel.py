@@ -644,7 +644,7 @@ class TestOneUtilitarianPath:
 
     def test_the_budget_is_checked_before_any_work(self):
         profile = Profile([[10**400] * 3] * 3)  # any welfare term overflows
-        with pytest.raises(InvalidWelfareFunctionError, match="too large"):
+        with pytest.raises(InvalidWelfareFunctionError, match="^affine:1,0 overflowed at a utility with 401 digits$"):
             solve(profile, Affine(1, 0), budget=27)
         for call in (solve, maximize_welfare, welfare_maximizers):
             with pytest.raises(EnumerationBudgetError):
@@ -761,6 +761,17 @@ class TestCertifiedOrder:
             assert welfare_function_from_spec(spec).value(0) == -math.inf
         with pytest.raises(InvalidWelfareFunctionError, match="overflowed at a utility 0"):
             welfare_function_from_spec("expr:ln(x+10^-400)*10^307").value(0)
+
+    def test_a_term_that_floats_underflow_gives_one_answer_at_every_block_size(self):
+        # (2/10^110)^3 is 0.0 in floats, but f is read from enclosures alone, so no walk meets a failing term
+        profile = Profile([[0, 0, 0, 1], [Fraction(2, 10**110), 2, Fraction(2, 10**110), 0]])
+        expected = oracles.exact_maximizers(profile, parse_expression("ln(x^3)+x"), digits=400)
+        assert expected == [(1, 1, 1, 0)]
+        for size in (1, 2, 256):
+            with mock.patch.object(model, "_BLOCK", size):
+                result, members = welfare_maximizers(Profile(profile.utilities), welfare_function_from_spec("expr:ln(x^3)+x"))
+            assert (result.allocation.assignment, result.maximizer_set_size) == (expected[0], len(expected))
+            assert [a.assignment for a in members] == expected
 
     def test_a_term_below_every_decimal_is_enclosed(self):
         # 10^-1001000 is 0.0 in floats and below decimal's exponents: its enclosure is [0, 10^-1000010]

@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from fairalloc.characterization import (
+    _positive_grid,
     constancy_check,
     counterexample_profile,
     find_ef1_counterexample,
@@ -23,7 +24,6 @@ from fairalloc.characterization import (
 )
 from fairalloc.cli import RATIONAL, main
 from fairalloc.errors import InvalidWelfareFunctionError, ProfileFormatError
-from fairalloc.funcparse import _positive_grid
 from fairalloc.model import Profile, _rational, loads_profile
 from fairalloc.welfarist import Affine, LogAffine, Power, welfare_function_from_spec
 

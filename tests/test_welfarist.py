@@ -2,13 +2,16 @@ import copy
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_kernel import CERTIFIED
 from fairalloc import (
     Allocation,
     EnumerationBudgetError,
@@ -20,7 +23,7 @@ from fairalloc import (
     max_nash_welfare,
     maximize_welfare,
 )
-from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, compile_expression, linear_form
+from fairalloc.funcparse import BinOp, Call, Neg, Num, Var, linear_form
 from fairalloc.welfarist import (
     Affine,
     CustomExpression,
@@ -141,9 +144,16 @@ def _nodes(tree):
             yield from _nodes(child)
 
 
-class TestCompiledValue:
-    """``value`` evaluates ``ast()``, compiled once and kept out of the
-    instance's identity, as is the tree's recognised form."""
+#: Utilities from 1/10^400 to 2^60.
+UTILITIES = st.one_of(
+    st.builds(Fraction, st.integers(1, 2**60), st.integers(1, 2**60)),
+    st.builds(lambda n, k: Fraction(n, 10**k), st.integers(1, 2**60), st.integers(0, 400)),
+)
+
+
+class TestValue:
+    """``value`` reads the float nearest the midpoint of an enclosure of ``ast()``, memoized per instance and kept
+    out of its identity, as is the tree's recognised form."""
 
     SPECS = ["log", "log:1/2,-1", "affine:3,2", "power:1/3", "exp", "expr:3*ln(x)+2"]
 
@@ -151,9 +161,9 @@ class TestCompiledValue:
     def test_identity_is_unchanged_by_evaluation(self, spec):
         f = welfare_function_from_spec(spec)
         fresh = {"pickle": pickle.dumps(f), "repr": repr(f), "hash": hash(f), "copy": copy.deepcopy(f)}
-        assert f.value(2) == compile_expression(f.ast())(2.0)
+        assert f.value(2) == pytest.approx(oracles._eval(f.ast(), 2.0), rel=2**-52)
         assert f._form == linear_form(f.ast())
-        assert "_compiled" in vars(f) and "_form" in vars(f)
+        assert "_values" in vars(f) and "_form" in vars(f)
         assert pickle.dumps(f) == fresh["pickle"]
         assert (repr(f), hash(f)) == (fresh["repr"], fresh["hash"])
         for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), fresh["copy"]):
@@ -163,26 +173,42 @@ class TestCompiledValue:
     @pytest.mark.parametrize("spec", SPECS)
     def test_minus_inf_only_at_zero(self, spec):
         f = welfare_function_from_spec(spec)
-        tiny = Fraction(1, 10**400)
-        if isinstance(f, (Affine, Power, Exp)):
-            assert f.value(tiny) == compile_expression(f.ast())(0.0)
-            return
-        assert f.value(0) == -math.inf
-        with pytest.raises(InvalidWelfareFunctionError, match=r"-inf at a utility of at most 10\^-400$"):
-            f.value(tiny)
+        tiny = Fraction(1, 10**400)  # 0.0 in floats, but no 0 to f
+        with mpmath.workdps(60):
+            assert f.value(tiny) == pytest.approx(float(oracles.mp_value(f.ast(), mpmath.mpf(10) ** -400)), rel=2**-52)
+        assert (f.value(0) == -math.inf) == (f._form is not None and f._form[0] == "ln")
 
     def test_errors_name_the_utility_by_its_size(self):
-        with pytest.raises(InvalidWelfareFunctionError, match="^utility with 401 digits is too large"):
+        with pytest.raises(InvalidWelfareFunctionError, match="^affine:1,0 overflowed at a utility with 401 digits$"):
             Affine(1, 0).value(10**400)
         with pytest.raises(InvalidWelfareFunctionError, match="^power:2 overflowed at a utility with 201 digits$"):
             Power(2).value(Fraction(10**201, 7))
         unproven = Unchecked.from_text("ln(x-1/20)")  # no rule proves it, so only a subclass builds it
         with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility of at most 10\^-2: ln of a"):
             unproven.value(Fraction(1, 100))
-        with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility 0: ln of a negative value \(-0\.05\)$"):
-            unproven.value(0)
-        with pytest.raises(InvalidWelfareFunctionError, match="^affine:2,0 evaluated to inf at a utility with 309 digits$"):
+        with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility 0: ln of a value in \[-1/20, -1/20\]$"):
+            unproven.value(0)  # an ln of a negative value, not of 0: no -inf
+        with pytest.raises(InvalidWelfareFunctionError, match="^affine:2,0 overflowed at a utility with 309 digits$"):
             Affine(2, 0).value(10**308)
+
+    def test_an_ln_of_0_that_exp_takes_back_is_no_minus_inf(self):
+        # exp(ln(x)) is proved rising and tends to 0 at 0, which no enclosure gives: an error, not a -inf term
+        f = welfare_function_from_spec("expr:exp(ln(x))")
+        assert f.value(3) == 3.0
+        with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility 0: ln of a value in \[0, 0\]$"):
+            f.value(0)
+        with pytest.raises(InvalidWelfareFunctionError, match="failed at a utility 0"):
+            solve(Profile([[2, 2], [1, 1]]), f)
+
+    @given(st.sampled_from((*CERTIFIED, LogAffine())), UTILITIES)
+    @example(CERTIFIED[3], Fraction(1, 10**300))  # ln(1 + 10^-300): 80 digits alone give about 10^-80
+    @example(LogAffine(), Fraction(2**60))
+    @settings(max_examples=200, deadline=None)
+    def test_a_value_lies_within_2_pow_minus_52_of_f(self, f, x):
+        with mpmath.workdps(60 + len(str(x.denominator))):  # 60 good digits, also of ln(1 + x) for a tiny x
+            true = oracles.mp_value(f.ast(), mpmath.mpf(x.numerator) / x.denominator)
+        assume(2.0**-1022 <= abs(true) <= sys.float_info.max)  # f(x) is a normal float
+        assert abs(f.value(x) - true) <= 2**-52 * abs(true)
 
 
 class Unchecked(CustomExpression):
