@@ -145,7 +145,7 @@ def nash_members(profile):
 
 
 def _eval(node, x):
-    """The recursive float evaluator that ``funcparse.compile_expression`` replaced."""
+    """The recursive IEEE float evaluator: a reference for well-conditioned values and for domain errors."""
     if isinstance(node, Num):
         return float(node.value)
     if isinstance(node, Var):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import mpmath
 import oracles
 
 from fairalloc.characterization import _positive_grid
@@ -118,6 +119,45 @@ class TestEvaluation:
         tree = parse_expression("sqrt(" * 150 + "x+9" + ")" * 150 + "+x" * 300)
         lo, hi = enclose_expression(tree, 2, 80)
         assert float((lo + hi) / 2) == pytest.approx(oracles._eval(tree, 2.0), rel=2**-52)
+
+    @pytest.mark.parametrize("text,x,reference,message", [
+        ("ln(x-1)", Fraction(1, 2), "ln of a negative value (-0.5)", "ln of a value in [-1/2, -1/2]"),
+        ("sqrt(x-5)", Fraction(1), "sqrt of a negative value (-4.0)", "sqrt of a value in [-4, -4]"),
+        ("1/(x-2)", Fraction(2), "division by zero", "division by zero"),
+        ("(x-3)^0.5", Fraction(1), "invalid power: base -2.0, exponent 0.5", "sqrt of a value in [-2, -2]"),
+    ])
+    def test_domain_errors_match_the_reference(self, text, x, reference, message):
+        # a step outside its domain raises at every rung, as in the float reference
+        tree = parse_expression(text)
+        with pytest.raises(ExpressionEvalError, match=f"^{re.escape(reference)}$"):
+            oracles._eval(tree, float(x))
+        for digits in (12, 80):
+            with pytest.raises(ExpressionEvalError, match=f"^{re.escape(message)}$"):
+                enclose_expression(tree, x, digits)
+
+    @pytest.mark.parametrize("text,x,reference", [
+        ("exp(x)", 1000, "exp overflow at argument 1000.0"),
+        ("x^400", 10, "power overflow: base 10.0, exponent 400.0"),
+    ])
+    def test_float_overflow_is_no_domain_error(self, text, x, reference):
+        # beyond float range, yet within decimal's: the enclosure holds the 60-digit value
+        tree = parse_expression(text)
+        with pytest.raises(ExpressionEvalError, match=f"^{re.escape(reference)}$"):
+            oracles._eval(tree, float(x))
+        with mpmath.workdps(60):
+            true = oracles.mp_value(tree, mpmath.mpf(x))
+            for digits in (12, 80):
+                lo, hi = enclose_expression(tree, x, digits)
+                assert mpmath.mpf(lo.numerator) / lo.denominator <= true <= mpmath.mpf(hi.numerator) / hi.denominator
+                assert hi - lo <= abs(lo) * Fraction(1, 10**(digits - 2))
+
+    @pytest.mark.parametrize("text", ["3*ln(x)+2", "2^3^2", "sqrt(x)+exp(x)", "(x+1)/(x+2)", "-x^0.5", "ln(x+1)*exp(-x)"])
+    def test_matches_the_reference(self, text):
+        # well-conditioned trees: the float reference is within a few ulps of f, and so is the last rung's midpoint
+        tree = parse_expression(text)
+        for x in (Fraction(1, 3), Fraction(2), Fraction(29, 4), Fraction(19)):
+            lo, hi = enclose_expression(tree, x, 80)
+            assert float((lo + hi) / 2) == pytest.approx(oracles._eval(tree, float(x)), rel=1e-14)
 
 
 # hypothesis strategy for random well-formed trees; Num values stick to what
