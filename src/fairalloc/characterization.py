@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .errors import ExpressionEvalError, InvalidWelfareFunctionError
 from .fairness import Ef1Verdict, is_ef1
 from .model import DEFAULT_ENUMERATION_BUDGET, Profile, _rational
 from .welfarist import SolveResult, WelfareFunction, welfare_maximizers
@@ -204,14 +205,19 @@ def _choose_discount(sign, k, y, z, override):
 
 
 def _candidates(sign, points, k_max, epsilon, rejected):
-    """``(k, y, z, discount)`` for each grid pair with a certified gap, in scan order."""
+    """``(k, y, z, discount)`` for each grid pair with a certified gap, in scan order; one that fails is rejected."""
     for k in range(1, k_max + 1):
         for first, second in combinations(points, 2):  # the sign of d_k(first) - d_k(second)
-            order = sign(((k + 1) * first, k * second), (k * first, (k + 1) * second))
-            if not order:
+            try:
+                order = sign(((k + 1) * first, k * second), (k * first, (k + 1) * second))
+                if not order:
+                    continue
+                y, z = (first, second) if order == 1 else (second, first)
+                discount = _choose_discount(sign, k, y, z, epsilon)
+            except (InvalidWelfareFunctionError, ExpressionEvalError) as exc:
+                rejected["pairs whose comparison failed"] += 1
+                logger.debug("pair k=%d %s, %s: the comparison failed (%s); skipping", k, first, second, exc)
                 continue
-            y, z = (first, second) if order == 1 else (second, first)
-            discount = _choose_discount(sign, k, y, z, epsilon)
             if discount is None:
                 rejected["pairs with no discount"] += 1
                 continue
@@ -219,9 +225,14 @@ def _candidates(sign, points, k_max, epsilon, rejected):
 
 
 def _verify_candidate(f, k, y, z, discount, budget, rejected):
-    """The report, or ``None`` with the rejection counted in ``rejected`` and logged at DEBUG."""
+    """The report, or ``None`` with the rejection, a failed solve too, counted in ``rejected`` and logged at DEBUG."""
     profile = counterexample_profile(k, y, z, discount)
-    result, band = welfare_maximizers(profile, f, budget=budget)
+    try:
+        result, band = welfare_maximizers(profile, f, budget=budget)
+    except (InvalidWelfareFunctionError, ExpressionEvalError) as exc:
+        rejected["candidates whose solve failed"] += 1
+        logger.debug("candidate k=%d y=%s z=%s discount=%s: the solve failed (%s); skipping", k, y, z, discount, exc)
+        return None
     verdict = is_ef1(profile, result.allocation)
     if verdict.holds:
         rejected["candidates whose chosen maximizer passes EF1"] += 1

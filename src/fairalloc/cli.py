@@ -226,8 +226,8 @@ def main():
 @mapped_errors
 def solve(profile_path, spec, budget, fmt):
     """Compute a welfare-maximizing allocation for a profile."""
-    profile = _read(profile_path, loads_profile)
     f = welfare_function_from_spec(spec)
+    profile = _read(profile_path, loads_profile)
     result = run_solver(profile, f, budget=budget)
     if fmt == "json":
         click.echo(_json_text({"function": str(f), **_solve_json(profile, result)}))

@@ -16,6 +16,7 @@ from .model import (
     Allocation,
     Profile,
     _blocks,
+    _frontier,
     _memo,
     _row_sums,
     _scaled_rows,
@@ -113,29 +114,12 @@ def is_ef1(profile: Profile, allocation: Allocation) -> Ef1Verdict:
     return Ef1Verdict(not violations, tuple(violations))
 
 
-def is_pareto_optimal(
-    profile: Profile,
-    allocation: Allocation,
-    *,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> ParetoVerdict:
-    """Exhaustive Pareto check.
-
-    Scans every allocation; returns the first dominator in lexicographic
-    assignment order, so the result does not depend on how the scan might be
-    partitioned.  The budget is checked before anything else.  A prefix is skipped once
-    some agent's total plus all it values in the goods left is below its current utility:
-    no completion of it can dominate.  Each agent's mask of the block entries that meet
-    its need is gathered once per need in a scan (:func:`_memo`, capped), not per prefix."""
-    rows, _ = _scaled_rows(profile, budget)
-    current = _totals(profile, allocation)
-    _, rest = _row_sums(rows, _suffix_length(profile.n, profile.m))
-
-    def prune(depth, totals):
-        return any(t + r[depth] < c for t, r, c in zip(totals, rest, current))
-
-    suffixes, gathers, bundles, prefixes = _blocks(rows, prune)
-    split = profile.m - len(suffixes[0])
+def _dominating(rows, walk, current):
+    """``(prefix, k)`` for each prefix of ``walk`` (:func:`_blocks`, or grouped, :func:`_frontier`) with an entry that
+    dominates the totals ``current``, ``k`` the first: one in every agent's mask of the entries that meet its need
+    (gathered once per need in a walk by :func:`_memo`, capped) whose sum exceeds the needs'."""
+    suffixes, gathers, bundles, prefixes = walk
+    columns = [gather(values) for gather, values in zip(gathers, bundles)]  # each agent's value in each entry
     mask_of = _memo(lambda agent, need: gathers[agent]([need <= v for v in bundles[agent]]), rows, suffixes)
     for prefix, totals in prefixes:
         needs = [c - t for c, t in zip(current, totals)]
@@ -143,9 +127,31 @@ def is_pareto_optimal(
         for agent, need in enumerate(needs):
             if need > 0:
                 fits = mask_of(agent, need) if fits is None else list(map(and_, fits, mask_of(agent, need)))
-        candidates = range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits)
-        for k in candidates:
-            # a candidate meets every need: it dominates iff it exceeds one
-            if sum(rows[agent][split + j] for j, agent in enumerate(suffixes[k])) > sum(needs):
-                return ParetoVerdict(False, Allocation(tuple(prefix) + suffixes[k]))
-    return ParetoVerdict(True, None)
+        candidates, least = range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits), sum(needs)
+        k = next((k for k in candidates if sum(column[k] for column in columns) > least), None)
+        if k is not None:
+            yield prefix, k
+
+
+def is_pareto_optimal(
+    profile: Profile,
+    allocation: Allocation,
+    *,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> ParetoVerdict:
+    """Exact Pareto check, once the budget is checked.  An allocation is dominated iff a Pareto-optimal one dominates
+    it, so "optimal" is read from the profile's kept frontier walk (:func:`_frontier`) alone.  A dominated one is walked
+    for its first dominator in lexicographic assignment order, which may lie off the frontier, skipping each prefix
+    from which some agent can no longer reach its current utility."""
+    rows, _ = _scaled_rows(profile, budget)
+    current = _totals(profile, allocation)
+    if next(_dominating(rows, _frontier(profile, budget), current), None) is None:
+        return ParetoVerdict(True, None)
+    _, rest = _row_sums(rows, _suffix_length(profile.n, profile.m))
+
+    def prune(depth, totals):
+        return any(t + r[depth] < c for t, r, c in zip(totals, rest, current))
+
+    walk = _blocks(rows, prune)
+    prefix, k = next(_dominating(rows, walk, current))
+    return ParetoVerdict(False, Allocation(tuple(prefix) + walk[0][k]))

@@ -180,6 +180,18 @@ def _context(digits):
     return decimal.Context(prec=digits, traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
 
 
+def _sized(x, noun):
+    """``noun`` and the digits of ``x >= 1``, or the power of ten a rational ``0 < x < 1`` is at most (counted up to
+    4000), else ``x``: a huge or tiny rational's own digits run to hundreds, or past Python's integer-string limit."""
+    if not (1 <= x < math.inf or 0 < x < 1 and isinstance(x, Fraction)):
+        return f"{noun} {x}"
+    whole = math.trunc(x) if x >= 1 else x.denominator // x.numerator  # 1 / x would reduce a fraction anew
+    digits = len(str(whole)) if whole.bit_length() <= 13287 else None  # below 10^4000: quick to write out
+    if x >= 1:
+        return f"{noun} with {digits or 'at least 4000'} digits"
+    return f"{noun} of at most 10^-{(digits or 4000) - 1}"
+
+
 def _increasing(name, interval, digits):
     """Bounds on the increasing ``ln``, ``exp`` or ``sqrt`` over ``interval``:
     ends rounded outward to ``digits`` digits, correctly rounded results moved
@@ -187,7 +199,9 @@ def _increasing(name, interval, digits):
     exactly, or as an ``exp`` below every decimal, whose upper end is the least)."""
     lo, hi = interval
     if name != "exp" and (lo < 0 or name == "ln" and lo == 0):
-        raise ExpressionEvalError(f"{name} of a value in [{lo}, {hi}]")
+        ends = (str(end) if max(end.numerator.bit_length(), end.denominator.bit_length()) <= 64
+                else "-" * (end < 0) + _sized(abs(end), "a number") for end in interval)
+        raise ExpressionEvalError(f"{name} of a value in [{', '.join(ends)}]")
     ctx = _context(digits)
     outwards = (ctx.next_minus, ctx.next_plus)
     results = []

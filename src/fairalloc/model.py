@@ -11,13 +11,13 @@ Every exhaustive scan in the package runs on one private kernel here: the
 assignments of a prefix of the goods are walked in lexicographic order with
 incrementally updated integer bundle totals, and each prefix brings a
 precomputed block of every assignment of the last goods, evaluated a column
-at a time.  The Pareto check walks the prefixes one by one, as it may prune
-them and its first dominator may lie off any frontier.  The welfare ranking
-walks them grouped by their totals, each group once, and only the Pareto
-frontier of the groups and of the block entries: every rule it ranks rises,
-so its maximizers are Pareto optimal.  That walk is built once per profile
-and block size and kept on the profile (:func:`_frontier`); only the memo of
-an agent's column by its prefix total, up to a cap, is made per scan.
+at a time.  The welfare ranking walks them grouped by their totals, each
+group once, and only the Pareto frontier of the groups and of the block
+entries: every rule it ranks rises, so its maximizers are Pareto optimal.
+That walk is built once per profile and block size and kept on the profile
+(:func:`_frontier`), and the Pareto check decides "optimal" from it; only the
+first dominator of a dominated allocation, which may lie off the frontier,
+is sought prefix by prefix, and only a memo of columns is made per scan.
 """
 
 import json
@@ -291,7 +291,7 @@ def _groups(rows):
 
 def _frontier(profile: Profile, budget: int):
     """:func:`_groups` of the profile's rows once the budget is checked, kept on the profile for the :data:`_BLOCK`
-    it was last built at (no part of equality, hash, repr or pickling), so that every ranking of it reads one walk."""
+    it was last built at (not in equality, hash, repr or pickling), so every ranking and Pareto check reads one walk."""
     rows, _ = _scaled_rows(profile, budget)
     kept = vars(profile).get("_walk")
     if kept is None or kept[0] != _BLOCK:

@@ -25,6 +25,7 @@ total and its enclosures across calls.
 import decimal
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .funcparse import (
     _LADDER_CAP,
     _Ladder,
     _rise,
+    _sized,
     increasing,
     linear_form,
     parse_expression,
@@ -63,13 +65,9 @@ logger = logging.getLogger(__name__)
 NEG_INF = float("-inf")
 
 
-def _sized(x) -> str:
-    # a huge or tiny utility's repr runs to hundreds of characters; its size does not
-    if 1 <= x < math.inf:
-        return f"utility with {len(str(math.trunc(x)))} digits"
-    if 0 < x < 1 and isinstance(x, Fraction):
-        return f"utility of at most 10^-{len(str(math.floor(1 / x))) - 1}"
-    return f"utility {x}"
+def _named(spec) -> str:
+    """``spec``, a function's name for an error, with each literal of over 20 digits named by its length."""
+    return re.sub(r"\d{21,}", lambda literal: f"<{len(literal[0])} digits>", str(spec))
 
 
 def _exact(f, what):
@@ -120,12 +118,12 @@ class WelfareFunction:
             key = float(middle)
         except (ArithmeticError, ValueError) as exc:
             if isinstance(exc, OverflowError) or isinstance(exc.__cause__, decimal.Overflow):
-                raise InvalidWelfareFunctionError(f"{self} overflowed at a {_sized(x)}") from None
+                raise InvalidWelfareFunctionError(f"{_named(self)} overflowed at a {_sized(x, 'utility')}") from None
             if digits:  # a coarser rung may round an argument out of its domain: the last rung decides
                 return self._read(x)
             if x == 0 and (self._form and self._form[0] == "ln" or self._increasing and _rise(self.ast()) == NEG_INF):
                 return NEG_INF, 0.0
-            raise InvalidWelfareFunctionError(f"{self} failed at a {_sized(x)}: {exc}") from None
+            raise InvalidWelfareFunctionError(f"{_named(self)} failed at a {_sized(x, 'utility')}: {exc}") from None
         return key, max(math.nextafter(float(hi - middle + abs(Fraction(key) - middle)), math.inf), abs(key) * 2.0**-52)
 
     @cached_property
@@ -143,14 +141,17 @@ class WelfareFunction:
         return _Ladder(self.ast())
 
     def _ranking(self):
-        """``"ln"`` or ``"x"``, the recognised form, else ``"rising"`` if the tree is proved increasing; a tree
-        that is neither, or none, raises :class:`InvalidWelfareFunctionError`, as no certified order ranks it."""
+        """``"ln"`` or ``"x"``, the recognised form, else ``"rising"`` if the tree is proved increasing and has a value
+        at 0, as every scan reads an empty bundle; any other, or none, raises :class:`InvalidWelfareFunctionError`."""
         try:
-            if self._form or self._increasing:
-                return self._form[0] if self._form else "rising"
+            if self._form:
+                return self._form[0]
+            if self._increasing:
+                self.value(0)  # where no enclosure reaches f(0) and no ln takes it to -inf, this names the failure
+                return "rising"
         except NotImplementedError as exc:
             raise InvalidWelfareFunctionError(str(exc)) from None
-        raise InvalidWelfareFunctionError(f"{self} is not proved increasing by funcparse.increasing")
+        raise InvalidWelfareFunctionError(f"{_named(self)} is not proved increasing by funcparse.increasing")
 
     def __getstate__(self):
         cached = ("_values", "_form", "_increasing", "_ladder", "_keys")
@@ -253,6 +254,7 @@ def welfare_function_from_spec(spec: str) -> WelfareFunction:
     function's class; an error names the spec.
     """
     name, sep, args = spec.partition(":")
+    quoted = _named(repr(spec))
     name = name.strip().lower()
     if name == "expr":
         if not sep or not args.strip():
@@ -260,14 +262,14 @@ def welfare_function_from_spec(spec: str) -> WelfareFunction:
         return CustomExpression.from_text(args)
     kind = {"log": LogAffine, "affine": Affine, "power": Power, "exp": Exp}.get(name)
     if kind is None:
-        raise InvalidWelfareFunctionError(f"unknown welfare function spec {spec!r}")
+        raise InvalidWelfareFunctionError(f"unknown welfare function spec {quoted}")
     pieces = [piece.strip() for piece in args.split(",")] if args.strip() else []
     if len(pieces) != len(fields(kind)) and (pieces or kind is Power):  # log and affine default to a = 1, b = 0
-        raise InvalidWelfareFunctionError(f"{spec!r} should have {len(fields(kind))} comma-separated parameters")
+        raise InvalidWelfareFunctionError(f"{quoted} should have {len(fields(kind))} comma-separated parameters")
     try:
         return kind(*pieces)
     except InvalidWelfareFunctionError as exc:
-        raise InvalidWelfareFunctionError(f"{exc} in {spec!r}") from exc
+        raise InvalidWelfareFunctionError(f"{exc} in {quoted}") from exc
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,21 @@ class TestFindCounterexample:
             "rejected {'candidates whose chosen maximizer passes EF1': 45}"
         )
 
+    @pytest.mark.parametrize("text, rejected", [
+        ("exp(exp(4*x))", {"candidates whose solve failed": 4, "pairs whose comparison failed": 86}),
+        ("exp(x)*exp(3^8*x)", {"candidates whose solve failed": 90}),
+        ("exp(x)*exp(8^8*x)", {"pairs whose comparison failed": 90}),
+    ])
+    def test_a_pair_or_candidate_that_fails_is_a_counted_rejection(self, caplog, text, rejected):
+        # the float keys of a solve overflow, or an enclosure of a comparison leaves decimal's range
+        f = welfare_function_from_spec(f"expr:{text}")
+        with caplog.at_level(logging.DEBUG, logger="fairalloc.characterization"):
+            assert find_ef1_counterexample(f, k_max=2) is None
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(debug) == sum(rejected.values()) and all("failed" in m and "skipping" in m for m in debug)
+        (summary,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.INFO]
+        assert summary == f"search for expr:{text} to k=2: found k=None; rejected {rejected}"
+
     def test_a_gap_below_float_resolution_yields_an_instance(self, caplog):
         # a float tie band of 1e-9 rejected every candidate of ln(x) + x/10^12, and the search returned None
         f = CustomExpression.from_text("ln(x)+x/10^12")

@@ -108,6 +108,26 @@ class TestSolve:
         assert payload["welfare"]["finite_part"] == pytest.approx(2 * (400 * math.log(10) + math.log(2)), rel=1e-15)
 
 
+class TestRefusedWhenBuilt:
+    def test_a_rule_with_no_value_at_0_exits_2_before_the_profile_is_read(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{broken", encoding="utf-8")
+        result = runner.invoke(main, ["solve", "--profile", str(bad), "--f", "expr:exp(ln(x))"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: expr:exp(ln(x)) failed at a utility 0: ln of a value in [0, 0]\n"
+
+    def test_a_search_whose_candidates_overflow_finds_none_and_exits_1(self, runner):
+        result = runner.invoke(main, ["counterexample", "--f", "expr:exp(exp(4*x))", "--k-max", "2"])
+        assert result.exit_code == 1
+        assert result.output.startswith("no counterexample found for expr:exp(exp(4*x)) with k up to 2")
+
+    def test_a_long_literal_is_named_by_its_size(self, runner, tmp_path):
+        path = write_profile(tmp_path / "p.json", [[1, 2], [2, 1]])
+        result = runner.invoke(main, ["solve", "--profile", path, "--f", f"expr:{10**400}*x"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: expr:<401 digits>*x overflowed at a utility with 1 digits\n"
+
+
 class TestCheck:
     def test_all_properties_hold(self, runner, tmp_path):
         profile = write_profile(tmp_path / "p.json", [[1, 0], [0, 1]])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from fairalloc import (
     is_pareto_optimal,
     maximize_welfare,
 )
-from fairalloc.welfarist import Affine
+from fairalloc import fairness, model
+from fairalloc.welfarist import Affine, LogAffine
 
 
 def random_instance(rng, max_agents=3, max_goods=6, max_utility=3):
@@ -164,6 +166,15 @@ class TestParetoOptimality:
             assert verdict.optimal == (
                 not oracles.pareto_dominators(profile, assignment)
             )
+
+    def test_a_check_keeps_the_walk_it_builds_for_later_checks_and_solves(self):
+        profile = Profile([[1, 4, 1, 3, 3, 4, 1, 2, 3, 4, 3], [1, 4, 2, 3, 3, 1, 0, 2, 4, 2, 1]])
+        answer = Allocation((0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0))  # its MNW allocation
+        assert is_pareto_optimal(profile, answer).optimal
+        walk = AssertionError("a second walk of one profile")
+        with mock.patch.object(model, "_blocks", side_effect=walk), mock.patch.object(fairness, "_blocks", side_effect=walk):
+            assert is_pareto_optimal(profile, answer).optimal
+            assert maximize_welfare(profile, LogAffine()).allocation == answer
 
     def test_utilitarian_outputs_are_optimal(self):
         rng = random.Random(7)

@@ -86,6 +86,17 @@ class TestEvaluation:
     def test_ln_at_one(self):
         assert enclose_expression(parse_expression("ln(x)"), 1, 12) == (0, 0)
 
+    @pytest.mark.parametrize("text, x, ends", [
+        ("ln(x-1/20)", 0, "-1/20, -1/20"),  # short ends as they are
+        ("ln(x-10^500)", 1, "-a number with 500 digits, -a number with 500 digits"),
+        ("sqrt(x-1/10^500)", 0, "-a number of at most 10^-500, -a number of at most 10^-500"),
+        ("sqrt(x-1/10^5000)", 0, "-a number of at most 10^-3999, -a number of at most 10^-3999"),  # past 4000 digits
+    ])
+    def test_a_domain_error_names_long_ends_by_their_sizes(self, text, x, ends):
+        name = text.partition("(")[0]
+        with pytest.raises(ExpressionEvalError, match=rf"^{name} of a value in \[{re.escape(ends)}\]$"):
+            enclose_expression(parse_expression(text), x, 12)
+
     def test_square(self):
         assert enclose_expression(parse_expression("x^2"), Fraction(3, 2), 12) == (Fraction(9, 4), Fraction(9, 4))
 

@@ -35,13 +35,14 @@ from fairalloc import (
     Allocation,
     EnumerationBudgetError,
     InvalidWelfareFunctionError,
+    ParetoVerdict,
     Profile,
     is_pareto_optimal,
     max_nash_welfare,
     maximize_welfare,
 )
 from fairalloc.model import _assignments, _scaled_rows
-from fairalloc import model, welfarist
+from fairalloc import fairness, model, welfarist
 from fairalloc.funcparse import BinOp, Num, Var, parse_expression
 from fairalloc.welfarist import (
     Affine,
@@ -823,6 +824,16 @@ class TestKeptWalk:
         restored = pickle.loads(pickle.dumps(profile))
         assert restored == profile and "_walk" not in vars(restored)
 
+    @given(st.sampled_from((HUGE_ENTRIES, RATIONAL_ENTRIES)).flatmap(walked_profiles))
+    @example(LATER_PAIR)
+    @example(PROPORTIONAL)
+    @settings(max_examples=20, deadline=None)
+    def test_an_optimal_verdict_on_a_solved_profile_reads_the_kept_walk_alone(self, profile):
+        allocation = solve(profile, LogAffine()).allocation
+        walk = AssertionError("a walk past the kept one")
+        with mock.patch.object(model, "_blocks", side_effect=walk), mock.patch.object(fairness, "_blocks", side_effect=walk):
+            assert is_pareto_optimal(profile, allocation) == ParetoVerdict(True, None)
+
     def test_the_budget_is_checked_before_the_kept_walk_is_read(self):
         profile = Profile(LATER_PAIR.utilities)
         for f in self.RULES:
@@ -833,6 +844,58 @@ class TestKeptWalk:
         with pytest.raises(EnumerationBudgetError):
             model._frontier(profile, 2**11 - 1)
         assert model._frontier(profile, 2**11) is model._frontier(profile, 10**7)
+
+
+@st.composite
+def five_agent_profiles(draw):
+    """Five agents over four or five goods, with many zeros, so that the frontier filters some walks and
+    :func:`model._maxima`'s window past three coordinates keeps points that only later ones exceed."""
+    entries = draw(st.sampled_from((st.sampled_from((0, 0, 1, 2, 9)), HUGE_ENTRIES)))
+    m = draw(st.integers(4, 5))
+    return Profile([[draw(entries) for _ in range(m)] for _ in range(5)])
+
+
+def with_assignment(profile):
+    return st.tuples(st.just(profile), st.tuples(*[st.integers(0, profile.n - 1)] * profile.m))
+
+
+# one of the four dominators of (0, 1, 0, 1), the first (0, 1, 1, 0), is itself dominated by (1, 1, 1, 0)
+OFF_THE_FRONTIER = Profile([[0, 0, 1, 3], [1, 2, 3, 2]])
+# at a 16-allocation block one of the five entries is kept, and 70 prefix totals against 45 maxima
+EXTRA_MAXIMA = Profile([[9, 0, 9, 9, 2], [0, 0, 0, 9, 0], [1, 2, 0, 9, 0], [9, 1, 9, 0, 0], [9, 9, 0, 1, 0]])
+
+
+class TestParetoFromTheKeptWalk:
+    """The Pareto check answers "optimal" from the profile's kept frontier walk, and walks for the first dominator
+    only where one exists: both agree with the oracle at every block size, on walks the frontier filters too."""
+
+    @given(st.one_of(
+        walked_profiles(HUGE_ENTRIES), walked_profiles(RATIONAL_ENTRIES), block_profiles(), five_agent_profiles(),
+    ).flatmap(with_assignment))
+    @example((PROPORTIONAL, (0, 1) * 5 + (0,)))  # every allocation is Pareto optimal: the walk is left unfiltered
+    @example((OFF_THE_FRONTIER, (0, 1, 0, 1)))
+    @example((EXTRA_MAXIMA, (0, 1, 2, 3, 4)))
+    @example((EXTRA_MAXIMA, (4, 4, 4, 4, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_the_verdict_and_first_dominator_are_the_oracles_at_every_block_size(self, instance):
+        profile, assignment = instance
+        allocations = (Allocation(assignment), max_nash_welfare(profile).allocation)
+        expected = []
+        for allocation in allocations:
+            dominators = oracles.pareto_dominators(profile, allocation.assignment)
+            expected.append(ParetoVerdict(not dominators, Allocation(dominators[0]) if dominators else None))
+        for size in sorted({*block_sizes(profile), 16, 64}):
+            with mock.patch.object(model, "_BLOCK", size):
+                assert [is_pareto_optimal(profile, allocation) for allocation in allocations] == expected
+
+    def test_the_examples_walk_what_they_name(self):
+        rows = _scaled_rows(EXTRA_MAXIMA, budget=10**7)[0]
+        with mock.patch.object(model, "_BLOCK", 16):
+            suffixes, _, _, groups = model._groups(rows)
+        prefixes = {tuple(totals) for _, totals in _assignments(tuple(row[:4] for row in rows))}
+        assert (len(suffixes), len(groups), len(maxima(prefixes))) == (1, 70, 45)
+        assert is_pareto_optimal(OFF_THE_FRONTIER, Allocation((0, 1, 0, 1))).dominator == Allocation((0, 1, 1, 0))
+        assert not is_pareto_optimal(OFF_THE_FRONTIER, Allocation((0, 1, 1, 0))).optimal
 
 
 def every_scan(profile, allocation):

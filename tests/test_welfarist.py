@@ -1,4 +1,5 @@
 import copy
+import re
 import math
 import pickle
 import random
@@ -191,9 +192,30 @@ class TestValue:
         with pytest.raises(InvalidWelfareFunctionError, match="^affine:2,0 overflowed at a utility with 309 digits$"):
             Affine(2, 0).value(10**308)
 
+    def test_errors_name_a_long_literal_and_the_ends_of_a_domain_by_their_sizes(self):
+        with pytest.raises(InvalidWelfareFunctionError, match="^expr:<401 digits>\\*x overflowed at a utility with 1 digits$"):
+            solve(Profile([[1, 2], [2, 1]]), welfare_function_from_spec(f"expr:{10**400}*x"))
+        with pytest.raises(InvalidWelfareFunctionError, match="^parameter a is beyond float range in 'log:<401 digits>,1'$"):
+            welfare_function_from_spec(f"log:{10**400},1")
+        # an exp below every decimal: its upper end has about a million digits, past Python's integer-string limit
+        message = r"^expr:ln\(x\^1001\) failed at a utility of at most 10\^-2000: ln of a value in \[0, a number of at most 10\^-3999\]$"
+        with pytest.raises(InvalidWelfareFunctionError, match=message):
+            welfare_function_from_spec("expr:ln(x^1001)").value(Fraction(1, 10**2000))
+
+    @pytest.mark.parametrize("text", ["exp(ln(x))", "exp(ln(x))+x", "sqrt(exp(ln(x)))", "ln(exp(ln(x))+1)"])
+    def test_a_rising_tree_with_no_value_at_0_is_refused_when_built(self, text):
+        # every scan reads an empty bundle, so no solve of it could finish
+        message = rf"^expr:{re.escape(text)} failed at a utility 0: ln of a value in \[0, 0\]$"
+        with pytest.raises(InvalidWelfareFunctionError, match=message):
+            welfare_function_from_spec(f"expr:{text}")
+
+    def test_an_ln_of_0_that_no_exp_takes_back_is_built_and_is_minus_inf_at_0(self):
+        assert welfare_function_from_spec("expr:ln(x)+x").value(0) == -math.inf
+
     def test_an_ln_of_0_that_exp_takes_back_is_no_minus_inf(self):
-        # exp(ln(x)) is proved rising and tends to 0 at 0, which no enclosure gives: an error, not a -inf term
-        f = welfare_function_from_spec("expr:exp(ln(x))")
+        # exp(ln(x)) is proved rising and tends to 0 at 0, which no enclosure gives: an error, not a -inf term,
+        # so it is refused when built (above); built without that check, it fails at 0 and in every solve
+        f = Unchecked.from_text("exp(ln(x))")
         assert f.value(3) == 3.0
         with pytest.raises(InvalidWelfareFunctionError, match=r"failed at a utility 0: ln of a value in \[0, 0\]$"):
             f.value(0)
