@@ -236,20 +236,14 @@ def _verify_candidate(f, k, y, z, discount, budget, rejected):
     verdict = is_ef1(profile, result.allocation)
     if verdict.holds:
         rejected["candidates whose chosen maximizer passes EF1"] += 1
-        logger.debug(
-            "candidate k=%d y=%s z=%s discount=%s: the chosen maximizer "
-            "passes the one-good-removal check; skipping",
-            k, y, z, discount,
-        )
+        logger.debug("candidate k=%d y=%s z=%s discount=%s: the chosen maximizer passes the one-good-removal check;"
+                     " skipping", k, y, z, discount)
         return None
     for allocation in band:
         if allocation != result.allocation and is_ef1(profile, allocation).holds:
             rejected["candidates with a tied maximizer passing EF1"] += 1
-            logger.debug(
-                "candidate k=%d y=%s z=%s discount=%s: a tied maximizer "
-                "%s passes the one-good-removal check; skipping",
-                k, y, z, discount, allocation.assignment,
-            )
+            logger.debug("candidate k=%d y=%s z=%s discount=%s: a tied maximizer %s passes the one-good-removal"
+                         " check; skipping", k, y, z, discount, allocation.assignment)
             return None
     return CounterexampleReport(
         k=k,
@@ -283,8 +277,8 @@ def find_ef1_counterexample(
     A tree recognised as log-affine ties every pair, so it compares none and
     builds no candidate.  Each search logs one INFO summary counting the pairs
     and candidates it rejected, by reason (tied pairs are not counted), and
-    each rejected candidate at DEBUG.  Returns the first verified report in
-    scan order, or ``None``.
+    each rejected candidate, one whose solve fails too, at DEBUG; an ``f`` no
+    scan can rank raises.  Returns the first verified report, or ``None``.
     """
     points = _positive_grid(DEFAULT_SEARCH_GRID if grid is None else grid)
     if k_max < 1:
@@ -292,6 +286,7 @@ def find_ef1_counterexample(
     epsilon = None if epsilon is None else _rational(epsilon, "epsilon")
     rejected = Counter()
     sign = _sign_test(f)
+    f._ranking()  # raises here, not as a failed solve of every candidate
     candidates = () if sign is None else _candidates(sign, points, k_max, epsilon, rejected)
     report = next(filter(None, (_verify_candidate(f, *c, budget, rejected) for c in candidates)), None)
     logger.info("search for %s to k=%d: found k=%s; rejected %s", f, k_max, report and report.k, dict(rejected))

@@ -8,6 +8,7 @@ good in the envied bundle, the value that remains after removing it.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from operator import and_
 
@@ -16,7 +17,7 @@ from .model import (
     Allocation,
     Profile,
     _blocks,
-    _frontier,
+    _kept,
     _memo,
     _row_sums,
     _scaled_rows,
@@ -117,9 +118,10 @@ def is_ef1(profile: Profile, allocation: Allocation) -> Ef1Verdict:
 def _dominating(rows, walk, current):
     """``(prefix, k)`` for each prefix of ``walk`` (:func:`_blocks`, or grouped, :func:`_frontier`) with an entry that
     dominates the totals ``current``, ``k`` the first: one in every agent's mask of the entries that meet its need
-    (gathered once per need in a walk by :func:`_memo`, capped) whose sum exceeds the needs'."""
+    (gathered once per need in a walk by :func:`_memo`, capped) whose sum exceeds the needs', as any does where a
+    need is below 0: then no entry's values are gathered."""
     suffixes, gathers, bundles, prefixes = walk
-    columns = [gather(values) for gather, values in zip(gathers, bundles)]  # each agent's value in each entry
+    columns = cache(lambda: [gather(values) for gather, values in zip(gathers, bundles)])  # each agent's, per entry
     mask_of = _memo(lambda agent, need: gathers[agent]([need <= v for v in bundles[agent]]), rows, suffixes)
     for prefix, totals in prefixes:
         needs = [c - t for c, t in zip(current, totals)]
@@ -127,10 +129,10 @@ def _dominating(rows, walk, current):
         for agent, need in enumerate(needs):
             if need > 0:
                 fits = mask_of(agent, need) if fits is None else list(map(and_, fits, mask_of(agent, need)))
-        candidates, least = range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits), sum(needs)
-        k = next((k for k in candidates if sum(column[k] for column in columns) > least), None)
-        if k is not None:
-            yield prefix, k
+        for k in range(len(suffixes)) if fits is None else compress(range(len(suffixes)), fits):
+            if min(needs) < 0 or sum(column[k] for column in columns()) > sum(needs):  # then it dominates
+                yield prefix, k
+                break
 
 
 def is_pareto_optimal(
@@ -140,18 +142,15 @@ def is_pareto_optimal(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> ParetoVerdict:
     """Exact Pareto check, once the budget is checked.  An allocation is dominated iff a Pareto-optimal one dominates
-    it, so "optimal" is read from the profile's kept frontier walk (:func:`_frontier`) alone.  A dominated one is walked
-    for its first dominator in lexicographic assignment order, which may lie off the frontier, skipping each prefix
-    from which some agent can no longer reach its current utility."""
+    it, so "optimal" is read from a frontier walk a ranking kept on the profile (:func:`_frontier`) alone.  Otherwise,
+    or with none kept (to build one costs more than most checks), the first dominator in lexicographic assignment
+    order is walked for, skipping each prefix from which some agent can no longer reach its current utility."""
     rows, _ = _scaled_rows(profile, budget)
     current = _totals(profile, allocation)
-    if next(_dominating(rows, _frontier(profile, budget), current), None) is None:
+    if (kept := _kept(profile)) and next(_dominating(rows, kept, current), None) is None:
         return ParetoVerdict(True, None)
     _, rest = _row_sums(rows, _suffix_length(profile.n, profile.m))
-
-    def prune(depth, totals):
-        return any(t + r[depth] < c for t, r, c in zip(totals, rest, current))
-
-    walk = _blocks(rows, prune)
-    prefix, k = next(_dominating(rows, walk, current))
-    return ParetoVerdict(False, Allocation(tuple(prefix) + walk[0][k]))
+    walk = _blocks(rows, prune=lambda depth, totals: any(t + r[depth] < c for t, r, c in zip(totals, rest, current)))
+    for prefix, k in _dominating(rows, walk, current):  # the first dominator
+        return ParetoVerdict(False, Allocation(tuple(prefix) + walk[0][k]))
+    return ParetoVerdict(True, None)

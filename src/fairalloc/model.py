@@ -15,9 +15,9 @@ at a time.  The welfare ranking walks them grouped by their totals, each
 group once, and only the Pareto frontier of the groups and of the block
 entries: every rule it ranks rises, so its maximizers are Pareto optimal.
 That walk is built once per profile and block size and kept on the profile
-(:func:`_frontier`), and the Pareto check decides "optimal" from it; only the
-first dominator of a dominated allocation, which may lie off the frontier,
-is sought prefix by prefix, and only a memo of columns is made per scan.
+(:func:`_frontier`).  The Pareto check decides "optimal" from a kept walk,
+and goes prefix by prefix for a first dominator, which may lie off the
+frontier, or where none is kept; only a memo of columns is made per scan.
 """
 
 import json
@@ -291,12 +291,16 @@ def _groups(rows):
 
 def _frontier(profile: Profile, budget: int):
     """:func:`_groups` of the profile's rows once the budget is checked, kept on the profile for the :data:`_BLOCK`
-    it was last built at (not in equality, hash, repr or pickling), so every ranking and Pareto check reads one walk."""
+    it was last built at (no part of equality, hash, repr or pickling), so that every ranking of it reads one walk."""
     rows, _ = _scaled_rows(profile, budget)
-    kept = vars(profile).get("_walk")
-    if kept is None or kept[0] != _BLOCK:
-        kept = vars(profile)["_walk"] = _BLOCK, _groups(rows)
-    return kept[1]
+    if _kept(profile) is None:
+        vars(profile)["_walk"] = {_BLOCK: _groups(rows)}
+    return _kept(profile)
+
+
+def _kept(profile: Profile):
+    """The walk :func:`_frontier` keeps on ``profile`` for the current :data:`_BLOCK`, or ``None`` if none is kept."""
+    return vars(profile).get("_walk", {}).get(_BLOCK)
 
 
 def _maxima(points):

@@ -254,7 +254,6 @@ def welfare_function_from_spec(spec: str) -> WelfareFunction:
     function's class; an error names the spec.
     """
     name, sep, args = spec.partition(":")
-    quoted = _named(repr(spec))
     name = name.strip().lower()
     if name == "expr":
         if not sep or not args.strip():
@@ -262,14 +261,15 @@ def welfare_function_from_spec(spec: str) -> WelfareFunction:
         return CustomExpression.from_text(args)
     kind = {"log": LogAffine, "affine": Affine, "power": Power, "exp": Exp}.get(name)
     if kind is None:
-        raise InvalidWelfareFunctionError(f"unknown welfare function spec {quoted}")
+        raise InvalidWelfareFunctionError(f"unknown welfare function spec {_named(repr(spec))}")
     pieces = [piece.strip() for piece in args.split(",")] if args.strip() else []
     if len(pieces) != len(fields(kind)) and (pieces or kind is Power):  # log and affine default to a = 1, b = 0
-        raise InvalidWelfareFunctionError(f"{quoted} should have {len(fields(kind))} comma-separated parameters")
+        count = len(fields(kind))
+        raise InvalidWelfareFunctionError(f"{_named(repr(spec))} should have {count} comma-separated parameters")
     try:
         return kind(*pieces)
     except InvalidWelfareFunctionError as exc:
-        raise InvalidWelfareFunctionError(f"{exc} in {quoted}") from exc
+        raise InvalidWelfareFunctionError(f"{exc} in {_named(repr(spec))}") from exc
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from fairalloc import (
     maximize_welfare,
     scaled_difference,
 )
+from fairalloc.errors import InvalidWelfareFunctionError
 from fairalloc.fairness import Ef1Verdict
 from fairalloc.funcparse import BinOp, Num, Var, parse_expression
 from fairalloc.welfarist import (
@@ -336,6 +337,20 @@ class TestFindCounterexample:
         assert len(debug) == sum(rejected.values()) and all("failed" in m and "skipping" in m for m in debug)
         (summary,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.INFO]
         assert summary == f"search for expr:{text} to k=2: found k=None; rejected {rejected}"
+
+    @pytest.mark.parametrize("text, error", [
+        ("1/(x+1)", "is not proved increasing"),  # falls
+        ("exp(ln(x))", "failed at a utility 0"),  # rises, with no value at 0
+    ])
+    def test_a_rule_no_scan_can_rank_raises_before_the_search(self, monkeypatch, text, error):
+        # a solve of every candidate would fail alike: that is no counted rejection and no "not found"
+        class Unchecked(CustomExpression):
+            def __post_init__(self):
+                pass
+
+        monkeypatch.setattr(characterization, "_candidates", pytest.fail)
+        with pytest.raises(InvalidWelfareFunctionError, match=error):
+            find_ef1_counterexample(Unchecked.from_text(text), k_max=2)
 
     def test_a_gap_below_float_resolution_yields_an_instance(self, caplog):
         # a float tie band of 1e-9 rejected every candidate of ln(x) + x/10^12, and the search returned None

@@ -167,14 +167,20 @@ class TestParetoOptimality:
                 not oracles.pareto_dominators(profile, assignment)
             )
 
-    def test_a_check_keeps_the_walk_it_builds_for_later_checks_and_solves(self):
+    def test_a_check_reads_the_walk_a_solve_kept_and_builds_none_itself(self):
         profile = Profile([[1, 4, 1, 3, 3, 4, 1, 2, 3, 4, 3], [1, 4, 2, 3, 3, 1, 0, 2, 4, 2, 1]])
         answer = Allocation((0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0))  # its MNW allocation
-        assert is_pareto_optimal(profile, answer).optimal
-        walk = AssertionError("a second walk of one profile")
+        least = Allocation((0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1))  # each good to an agent valuing it least
+        dominator = Allocation(tuple(oracles.pareto_dominators(profile, least.assignment)[0]))
+        with mock.patch.object(model, "_groups", side_effect=AssertionError("a walk built by a check")):
+            assert is_pareto_optimal(profile, answer).optimal
+            assert is_pareto_optimal(profile, least).dominator == dominator
+        assert model._kept(profile) is None
+        assert maximize_welfare(profile, LogAffine()).allocation == answer
+        walk = AssertionError("a walk past the kept one")
         with mock.patch.object(model, "_blocks", side_effect=walk), mock.patch.object(fairness, "_blocks", side_effect=walk):
             assert is_pareto_optimal(profile, answer).optimal
-            assert maximize_welfare(profile, LogAffine()).allocation == answer
+        assert is_pareto_optimal(profile, least).dominator == dominator
 
     def test_utilitarian_outputs_are_optimal(self):
         rng = random.Random(7)

@@ -867,7 +867,8 @@ EXTRA_MAXIMA = Profile([[9, 0, 9, 9, 2], [0, 0, 0, 9, 0], [1, 2, 0, 9, 0], [9, 1
 
 class TestParetoFromTheKeptWalk:
     """The Pareto check answers "optimal" from the profile's kept frontier walk, and walks for the first dominator
-    only where one exists: both agree with the oracle at every block size, on walks the frontier filters too."""
+    only where one exists or no walk is kept: both agree with the oracle at every block size, on walks the frontier
+    filters too, and a check of a profile with no kept walk builds none."""
 
     @given(st.one_of(
         walked_profiles(HUGE_ENTRIES), walked_profiles(RATIONAL_ENTRIES), block_profiles(), five_agent_profiles(),
@@ -886,6 +887,10 @@ class TestParetoFromTheKeptWalk:
             expected.append(ParetoVerdict(not dominators, Allocation(dominators[0]) if dominators else None))
         for size in sorted({*block_sizes(profile), 16, 64}):
             with mock.patch.object(model, "_BLOCK", size):
+                cold = Profile(profile.utilities)
+                assert [is_pareto_optimal(cold, allocation) for allocation in allocations] == expected
+                assert model._kept(cold) is None
+                model._frontier(profile, 10**7)
                 assert [is_pareto_optimal(profile, allocation) for allocation in allocations] == expected
 
     def test_the_examples_walk_what_they_name(self):
